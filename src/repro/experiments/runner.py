@@ -60,6 +60,7 @@ from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Iterator
 
+from repro.accelerator.simulator import schedule_sharing
 from repro.experiments.cache import ResultCache
 from repro.experiments.faults import (
     FaultPlan,
@@ -258,6 +259,11 @@ class CampaignResult:
             record's ``result["metrics"]`` merged (``.peak`` names by
             max, the rest summed) plus the runner's own ``cache.*`` /
             ``runner.*`` counters.
+        schedules_simulated / schedules_shared: inline-run jobs that
+            stepped the NoC vs jobs scored entirely from a link
+            schedule an earlier job recorded (see
+            :func:`repro.accelerator.simulator.schedule_sharing`).
+            Both stay 0 for supervised runs, which simulate every job.
     """
 
     name: str
@@ -276,6 +282,8 @@ class CampaignResult:
     remaining: list[str] = field(default_factory=list)
     failures: list[dict[str, Any]] = field(default_factory=list)
     metrics: dict[str, Any] = field(default_factory=dict)
+    schedules_simulated: int = 0
+    schedules_shared: int = 0
 
     @property
     def n_jobs(self) -> int:
@@ -300,6 +308,11 @@ class CampaignResult:
             f"{self.errors} errors, {self.workers} workers, "
             f"{self.elapsed_seconds:.2f}s"
         )
+        if self.schedules_simulated or self.schedules_shared:
+            line += (
+                f"; schedules: {self.schedules_simulated} simulated, "
+                f"{self.schedules_shared} shared"
+            )
         extras = []
         if self.resumed:
             extras.append(f"{self.resumed} resumed")
@@ -872,12 +885,16 @@ class CampaignRunner:
         Suspends any active registry around in-process execution: the
         runner's single post-run aggregation is the one publication
         path, matching supervised workers (whose processes never
-        publish into the parent's registry).
+        publish into the parent's registry).  Jobs share NoC link
+        schedules for the length of the run (:func:`~repro.accelerator.
+        simulator.schedule_sharing`), so format and ordering variants
+        of one mesh simulate the network once.
         """
         results: dict[int, dict[str, Any]] = {}
         try:
-            with metrics_suspended():
+            with metrics_suspended(), schedule_sharing() as scope:
                 for task in tasks:
+                    simulated, shared = scope.simulated, scope.shared
                     while True:
                         record = execute_job(task.payload)
                         if record.get("status") == "ok":
@@ -910,6 +927,10 @@ class CampaignRunner:
                             )
                         )
                         task.attempt += 1
+                    if scope.simulated > simulated:
+                        out.schedules_simulated += 1
+                    elif scope.shared > shared:
+                        out.schedules_shared += 1
                     results[task.index] = record
                     on_result(record, task.attempt)
         except KeyboardInterrupt:

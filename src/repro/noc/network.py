@@ -46,7 +46,7 @@ from __future__ import annotations
 import inspect
 import itertools
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 from heapq import heappop, heappush
 from typing import Any, Iterator, Sequence
 
@@ -211,8 +211,9 @@ class NoCStats:
         packets_injected / packets_delivered: packet counts.
         flits_injected / flit_hops: flit counts (hops include every
             link traversal, so one flit crossing 3 links counts 3).
-        total_bit_transitions: the Fig. 8 NoC-wide BT sum.
         packet_latencies: per-delivered-packet latency in cycles.
+        ledger: (init only) the network's per-link BT recorders, the
+            source of :attr:`total_bit_transitions`.
     """
 
     cycles: int = 0
@@ -220,8 +221,16 @@ class NoCStats:
     packets_delivered: int = 0
     flits_injected: int = 0
     flit_hops: int = 0
-    total_bit_transitions: int = 0
     packet_latencies: list[int] = field(default_factory=list)
+    ledger: InitVar[TransitionLedger | None] = None
+
+    def __post_init__(self, ledger: TransitionLedger | None) -> None:
+        self._ledger = TransitionLedger() if ledger is None else ledger
+
+    @property
+    def total_bit_transitions(self) -> int:
+        """The Fig. 8 NoC-wide BT sum, summed from the per-link counts."""
+        return self._ledger.total_transitions
 
     @property
     def mean_latency(self) -> float:
@@ -260,9 +269,17 @@ class Network:
         core: cycle-loop implementation, ``"event"`` or ``"stepped"``;
             ``None`` uses ``config.core`` when pinned, else
             :func:`default_core`.
+        capture_hops: keep every flit that crosses a recorded link in
+            its recorder's ``hops`` list, in traversal order (what a
+            link schedule is built from).
     """
 
-    def __init__(self, config: NoCConfig, core: str | None = None) -> None:
+    def __init__(
+        self,
+        config: NoCConfig,
+        core: str | None = None,
+        capture_hops: bool = False,
+    ) -> None:
         self.config = config
         if core is None:
             core = config.core if config.core is not None else _default_core
@@ -292,8 +309,8 @@ class Network:
             for node in range(config.n_nodes)
         ]
         self._neighbors = mesh_neighbors(config.width, config.height)
-        self.ledger = TransitionLedger()
-        self.stats = NoCStats()
+        self.ledger = TransitionLedger(capture_hops=capture_hops)
+        self.stats = NoCStats(ledger=self.ledger)
         self.cycle = 0
         #: Cycles actually executed by :meth:`step`; on the event core
         #: ``steps_executed <= stats.cycles`` because idle cycles are
@@ -413,7 +430,6 @@ class Network:
     ) -> None:
         """Carry one flit over ``router``'s ``out_port`` link."""
         node = router.node_id
-        stats = self.stats
         # Port is an IntEnum: indexing lists with it directly avoids
         # the enum .value descriptor on the per-hop path.
         if out_port is not _LOCAL or self._record_ejection:
@@ -429,23 +445,23 @@ class Network:
                 flit.wire_bits(True) if self._include_header else flit.payload
             )
             # LinkRecorder.record() unrolled: one flit hop is the
-            # hottest line of the whole simulator.
+            # hottest line of the whole simulator.  The per-link count
+            # is the only BT tally; NoC-wide totals are summed on read.
             prev = recorder.previous
-            caused = 0 if prev is None else (prev ^ bits).bit_count()
-            recorder.transitions += caused
+            if prev is not None:
+                recorder.transitions += (prev ^ bits).bit_count()
             recorder.flits += 1
             recorder.previous = bits
-            ledger = self.ledger
-            ledger._total_transitions += caused
-            ledger._total_flits += 1
-            stats.total_bit_transitions += caused
+            hops = recorder.hops
+            if hops is not None:
+                hops.append(flit)
             if self.trace_collector is not None:
                 if self.trace_collector is not self._trace_hook_owner:
                     self._bind_trace_hook()
                 self._trace_hook(
                     recorder.name, bits, self.cycle, out_vc, flit
                 )
-        stats.flit_hops += 1
+        self.stats.flit_hops += 1
         if out_port is _LOCAL:
             self._ejections.append((node, flit))
             return
@@ -646,8 +662,9 @@ class Network:
             self._inject_recorders[node] = recorder
         include_header = self._include_header
         for flit in injected:
-            self.stats.total_bit_transitions += recorder.record(
-                flit.wire_bits(True) if include_header else flit.payload
+            recorder.record(
+                flit.wire_bits(True) if include_header else flit.payload,
+                flit,
             )
 
     def _commit_ejections(self, cycle: int) -> None:

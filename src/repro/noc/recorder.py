@@ -2,17 +2,14 @@
 
 Every recorded link keeps a ``Flit_pre`` register holding the bits of
 the previous flit that crossed it; each traversal XORs the new flit
-against the register and accumulates the popcount into the NoC-wide
-sum.  Recording is measurement-only — the paper stresses that the flit
+against the register and accumulates the popcount on that link.
+Recording is measurement-only — the paper stresses that the flit
 storage and summation are not part of the design overhead.
 
-The ledger keeps *running* totals, updated by every
-:meth:`LinkRecorder.record` call, so reading
-:attr:`TransitionLedger.total_transitions` or
-:attr:`TransitionLedger.total_flit_traversals` is O(1) instead of a
-full sweep over all recorders — they are polled per drain loop in the
-hot simulation paths.  Per-link snapshots (:meth:`per_link`) are
-unchanged.
+The per-link counts are the single source of BT accounting: the
+ledger's NoC-wide totals (and :attr:`repro.noc.network.NoCStats.
+total_bit_transitions`) are summed from them when read, which the
+simulators do once per barrier window, never per hop.
 """
 
 from __future__ import annotations
@@ -37,8 +34,11 @@ class LinkRecorder:
             None before the first traversal.
         transitions: accumulated BT count on this link.
         flits: number of flits that crossed.
-        ledger: owning ledger whose running totals this recorder
-            feeds, if any (set by :meth:`TransitionLedger.recorder_for`).
+        ledger: owning ledger, if any (set by
+            :meth:`TransitionLedger.recorder_for` / :meth:`adopt`).
+        hops: when capturing, every flit that crossed, in traversal
+            order (the raw material of a link schedule); None when
+            not capturing.
     """
 
     name: str
@@ -48,8 +48,9 @@ class LinkRecorder:
     ledger: "TransitionLedger | None" = field(
         default=None, repr=False, compare=False
     )
+    hops: "list[Flit] | None" = field(default=None, repr=False, compare=False)
 
-    def record(self, bits: int) -> int:
+    def record(self, bits: int, flit: "Flit | None" = None) -> int:
         """Account one flit traversal; returns the BTs it caused."""
         previous = self.previous
         # Inline popcount: bits are validated non-negative at flit
@@ -58,10 +59,8 @@ class LinkRecorder:
         self.transitions += caused
         self.flits += 1
         self.previous = bits
-        ledger = self.ledger
-        if ledger is not None:
-            ledger._total_transitions += caused
-            ledger._total_flits += 1
+        if self.hops is not None:
+            self.hops.append(flit)
         return caused
 
 
@@ -70,21 +69,20 @@ class TransitionLedger:
     """NoC-wide aggregation over all link recorders.
 
     Attributes:
-        recorders: link-name -> recorder.
+        recorders: link-name -> recorder, in first-traversal order.
+        capture_hops: recorders created by :meth:`recorder_for` keep
+            every crossing flit in ``hops``.
     """
 
     recorders: dict[str, LinkRecorder] = field(default_factory=dict)
-    _total_transitions: int = field(default=0, repr=False)
-    _total_flits: int = field(default=0, repr=False)
+    capture_hops: bool = False
 
     def __post_init__(self) -> None:
-        # Adopt recorders handed in at construction time so the running
-        # totals stay consistent with their accumulated state.
         for rec in self.recorders.values():
             self.adopt(rec)
 
     def adopt(self, rec: LinkRecorder) -> LinkRecorder:
-        """Register an existing recorder and fold in its history."""
+        """Register an existing recorder, history included."""
         if rec.ledger is self:
             return rec
         if rec.ledger is not None:
@@ -93,27 +91,29 @@ class TransitionLedger:
             )
         rec.ledger = self
         self.recorders[rec.name] = rec
-        self._total_transitions += rec.transitions
-        self._total_flits += rec.flits
         return rec
 
     def recorder_for(self, name: str) -> LinkRecorder:
         """Get (or lazily create) the recorder for a link."""
         rec = self.recorders.get(name)
         if rec is None:
-            rec = LinkRecorder(name=name, ledger=self)
+            rec = LinkRecorder(
+                name=name,
+                ledger=self,
+                hops=[] if self.capture_hops else None,
+            )
             self.recorders[name] = rec
         return rec
 
     @property
     def total_transitions(self) -> int:
-        """The "NoC Bit Transition Sum" of Fig. 8 — a running counter."""
-        return self._total_transitions
+        """The "NoC Bit Transition Sum" of Fig. 8, over every link."""
+        return sum(rec.transitions for rec in self.recorders.values())
 
     @property
     def total_flit_traversals(self) -> int:
-        """Total flit-hops across all recorded links — a running counter."""
-        return self._total_flits
+        """Total flit-hops across all recorded links."""
+        return sum(rec.flits for rec in self.recorders.values())
 
     def per_link(self) -> dict[str, int]:
         """Snapshot of per-link BT counts."""

@@ -60,7 +60,7 @@ class TestTransitionLedger:
 
 
 class TestRunningTotals:
-    """Ledger totals are running counters, not full-dict sums."""
+    """Ledger totals always equal the sum of the per-link counts."""
 
     def test_totals_track_incrementally(self):
         ledger = TransitionLedger()

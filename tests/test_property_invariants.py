@@ -3,7 +3,8 @@
 These tie layers together: ordering never changes transmitted value
 multisets, flitisation round-trips under arbitrary geometry, the
 Eq. (3) model agrees with bit-exact measurement, and the NoC conserves
-packets under randomized structural configurations.
+packets under randomized structural configurations and times them
+without regard to their payload bits.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from repro.experiments.cache import ResultCache
 from repro.experiments.kinds import SyntheticJobConfig
 from repro.experiments.spec import JobSpec, SweepSpec
 from repro.noc.flit import make_packet
-from repro.noc.network import Network, NoCConfig
-from repro.noc.traffic import SyntheticTrafficConfig
+from repro.noc.network import CORES, Network, NoCConfig
+from repro.noc.traffic import SyntheticTrafficConfig, drive_schedule
 from repro.ordering.strategies import (
     FillOrder,
     OrderingMethod,
@@ -155,6 +156,78 @@ class TestNoCConservation:
             forward = transitions_between(a, b)
             backward = transitions_between(b, a)
             assert forward == backward
+
+
+class TestPayloadIndependentTiming:
+    """NoC timing never looks at payload bits.
+
+    The invariant behind shared link schedules
+    (:mod:`repro.accelerator.simulator`): the same (src, dst, flit
+    count, release) injections with independent random payloads move
+    the same flits over the same links in the same order and cycles.
+    """
+
+    @staticmethod
+    def _run(geometry, core, link_latency, seed):
+        rng = np.random.default_rng(seed)
+        config = NoCConfig(
+            width=3, height=3, link_width=32, link_latency=link_latency
+        )
+        events = sorted(
+            (
+                (
+                    release,
+                    make_packet(
+                        src,
+                        dst,
+                        [int(v) for v in rng.integers(0, 2**32, flits)],
+                        32,
+                    ),
+                )
+                for src, dst, flits, release in geometry
+            ),
+            key=lambda event: event[0],
+        )
+        ordinal = {p.packet_id: i for i, (_, p) in enumerate(events)}
+        network = drive_schedule(
+            Network(config, core=core, capture_hops=True), events
+        )
+        links = [
+            (name, [(ordinal[f.packet_id], f.index) for f in rec.hops])
+            for name, rec in network.ledger.recorders.items()
+        ]
+        stats = network.stats
+        return (
+            links,
+            stats.cycles,
+            stats.flit_hops,
+            stats.packet_latencies,
+            network.steps_executed,
+        )
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=8),  # src
+                st.integers(min_value=0, max_value=8),  # dst
+                st.integers(min_value=1, max_value=5),  # flits
+                st.integers(min_value=0, max_value=20),  # release cycle
+            ),
+            min_size=1,
+            max_size=16,
+        ),
+        st.integers(min_value=1, max_value=2),  # link_latency
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_schedule_ignores_payloads(
+        self, geometry, link_latency, seed_a, seed_b
+    ):
+        for core in CORES:
+            assert self._run(geometry, core, link_latency, seed_a) == (
+                self._run(geometry, core, link_latency, seed_b)
+            )
 
 
 def _tiny_accel_job(**overrides) -> JobSpec:
