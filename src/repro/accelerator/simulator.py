@@ -707,35 +707,42 @@ class AcceleratorSimulator:
         stats = network.stats
         facts: list[tuple[int, int, int]] = []
         window_bts: list[int] = []
-        for index, window in enumerate(windows):
-            bt_before = stats.total_bit_transitions
-            packets_before = stats.packets_injected
-            start = network.cycle
-            for ordinal, job in enumerate(window.sends):
-                packet = make_packet(
-                    src=job.mc,
-                    dst=job.pe,
-                    payloads=list(job.encoded.payloads),
-                    width=config.link_width,
-                    metadata={
-                        "kind": "task_inputs" if job.input_only else "task",
-                        "job": job,
-                    },
+        try:
+            for index, window in enumerate(windows):
+                bt_before = stats.total_bit_transitions
+                packets_before = stats.packets_injected
+                start = network.cycle
+                for ordinal, job in enumerate(window.sends):
+                    packet = make_packet(
+                        src=job.mc,
+                        dst=job.pe,
+                        payloads=list(job.encoded.payloads),
+                        width=config.link_width,
+                        metadata={
+                            "kind": "task_inputs" if job.input_only else "task",
+                            "job": job,
+                        },
+                    )
+                    sends[packet.packet_id] = (ordinal, index)
+                    pending.push(start + job.release, packet)
+                flits = self._drain(
+                    network, pending, counters, window.records,
+                    max_cycles_per_layer,
                 )
-                sends[packet.packet_id] = (ordinal, index)
-                pending.push(start + job.release, packet)
-            flits = self._drain(
-                network, pending, counters, window.records,
-                max_cycles_per_layer,
-            )
-            facts.append(
-                (
-                    stats.packets_injected - packets_before,
-                    flits,
-                    network.cycle - start,
+                facts.append(
+                    (
+                        stats.packets_injected - packets_before,
+                        flits,
+                        network.cycle - start,
+                    )
                 )
-            )
-            window_bts.append(stats.total_bit_transitions - bt_before)
+                window_bts.append(stats.total_bit_transitions - bt_before)
+        finally:
+            # The sinks close over this simulator, which keeps the
+            # network as last_network: detached, the finished network
+            # is in no reference cycle and is freed with the simulator.
+            for ni in network.nis:
+                ni.sink = None
         schedule = LinkSchedule(
             hops={
                 name: rec.hops

@@ -39,6 +39,17 @@ Two cycle-loop implementations ("cores") produce bit-identical results:
 Both cores share the routers, the NIs, and :meth:`Network.transmit`
 (per-hop BT recording with per-(router, outport) recorder handles that
 are resolved once, not per hop).
+
+Memory follows the traffic.  Construction builds one router and one NI
+per node plus node-indexed tables of ints (neighbour rows are tuples,
+which the garbage collector does not track); a router's credits,
+buffers and recorder handles materialise with its first flit (see
+:mod:`repro.noc.router`), and each upstream credit handle on its first
+returned credit.  Nothing a network holds points back at it, so a
+finished network belongs to no reference cycle as long as the NI
+sinks attached to it are detached when its run ends (the accelerator
+simulator does so): reference counting then frees it with its owner,
+without a full garbage-collector pass over a large mesh.
 """
 
 from __future__ import annotations
@@ -308,7 +319,6 @@ class Network:
             )
             for node in range(config.n_nodes)
         ]
-        self._neighbors = mesh_neighbors(config.width, config.height)
         self.ledger = TransitionLedger(capture_hops=capture_hops)
         self.stats = NoCStats(ledger=self.ledger)
         self.cycle = 0
@@ -345,22 +355,20 @@ class Network:
         self._active_routers: set[int] = set()
         self._pending_nis: set[int] = set()
         # Per-hop fast paths: config scalars hoisted out of transmit(),
-        # neighbor/link-name tables indexed by (node, port value), and
-        # lazily bound per-link recorder handles so the hot path never
-        # formats a link name or hashes into the ledger dict.  Handles
-        # are bound on first traversal (not precreated) so the ledger
-        # keeps containing exactly the links that carried traffic.
+        # a neighbour table indexed by (node, port value), and lazily
+        # bound per-link recorder handles (Router.out_recorders) so the
+        # hot path never formats a link name or hashes into the ledger
+        # dict.  Handles are bound on first traversal (not precreated)
+        # so the ledger keeps containing exactly the links that carried
+        # traffic.
         self._record_ejection = config.record_ejection
         self._record_injection = config.record_injection
         self._include_header = config.include_header_bits
         self._link_latency = config.link_latency
-        n_ports = len(Port)
-        self._neighbor_of: list[list[int | None]] = [
-            [self._neighbors[node].get(port) for port in Port]
+        neighbors = mesh_neighbors(config.width, config.height)
+        self._neighbor_of: list[tuple[int | None, ...]] = [
+            tuple(neighbors[node].get(port) for port in Port)
             for node in range(config.n_nodes)
-        ]
-        self._recorders: list[list[LinkRecorder | None]] = [
-            [None] * n_ports for _ in range(config.n_nodes)
         ]
         self._inject_recorders: list[LinkRecorder | None] = (
             [None] * config.n_nodes
@@ -377,8 +385,9 @@ class Network:
         ]
         # Per (node, in-port) handle on the upstream router's credit
         # counters for the opposite outport: the credit return path
-        # then touches no router/dict lookups per hop.  Rows build on
-        # a node's first credit so construction stays O(1) per node.
+        # then touches no router/dict lookups per hop.  A row builds
+        # on a node's first credit and each handle on its first use,
+        # so routers that never forward traffic stay unmaterialised.
         self._upstream_credits: list[list[list[int] | None] | None] = (
             [None] * config.n_nodes
         )
@@ -433,12 +442,12 @@ class Network:
         # Port is an IntEnum: indexing lists with it directly avoids
         # the enum .value descriptor on the per-hop path.
         if out_port is not _LOCAL or self._record_ejection:
-            recorder = self._recorders[node][out_port]
+            recorder = router.out_recorders[out_port]
             if recorder is None:
                 recorder = self.ledger.recorder_for(
                     f"R{node}.{out_port.name}"
                 )
-                self._recorders[node][out_port] = recorder
+                router.out_recorders[out_port] = recorder
             # With header bits excluded (the default) the wire image is
             # exactly the payload — skip the wire_bits() call per hop.
             bits = (
@@ -560,19 +569,17 @@ class Network:
         """:meth:`queue_credit` by node id and port value."""
         row = self._upstream_credits[node]
         if row is None:
-            neighbors = self._neighbor_of[node]
-            row = [None] + [
-                None
-                if (up := neighbors[p]) is None
-                else self.routers[up].credits[self._opposite_of[p]]
-                for p in range(1, len(neighbors))
-            ]
-            self._upstream_credits[node] = row
+            row = self._upstream_credits[node] = [None] * len(Port)
         credit_list = row[port_idx]
         if credit_list is None:
-            raise ValueError(
-                f"router {node} has no upstream on {Port(port_idx).name}"
-            )
+            upstream = self._neighbor_of[node][port_idx]
+            if upstream is None:
+                raise ValueError(
+                    f"router {node} has no upstream on {Port(port_idx).name}"
+                )
+            credit_list = row[port_idx] = self.routers[upstream].credits[
+                self._opposite_of[port_idx]
+            ]
         self._credits.append((credit_list, vc_idx, node, port_idx))
 
     # -- cycle loop --------------------------------------------------------

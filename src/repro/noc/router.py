@@ -28,10 +28,16 @@ Two equivalent implementations of the per-cycle phases exist:
 
 Both paths share :meth:`accept_flit` / :meth:`_traverse`, which keep
 the occupancy tracking consistent, so a router works under either
-network core at any time.  Input VC buffers, arbiters and downstream
-holder state materialise on a router's first flit — mesh-scaling
-campaigns construct thousands of routers of which the quiet ones never
-buffer anything.
+network core at any time.
+
+Router state follows the traffic.  A new router holds only scalars:
+its credit counters, occupancy sets, arbiters, downstream VC holders
+and outport recorder handles materialise on its first flit, and each
+input :class:`VCState` on the first flit into its own slot — an X-Y
+path uses one or two of a router's ``5 x n_vcs`` slots, and
+mesh-scaling campaigns construct thousands of routers of which the
+quiet ones never buffer anything.  :attr:`Router.inputs` fills every
+slot, for the reference pair and the unit tests.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from repro.noc.routing import Port, RouteFn
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.noc.network import Network
+    from repro.noc.recorder import LinkRecorder
 
 __all__ = ["VCState", "Router", "ProtocolError"]
 
@@ -112,8 +119,10 @@ class Router:
         self.route_fn = route_fn
         # Flat slots indexed by ``port * n_vcs + vc`` — the requester
         # id used by the arbiters — with `inputs` exposing the same
-        # VCState objects per port.  Built lazily by _materialize().
-        self._slots: list[VCState] | None = None
+        # VCState objects per port.  The None state below is built by
+        # _materialize() (`_inputs` by `inputs`), and a slot's VCState
+        # by the first flit into it.
+        self._slots: list[VCState | None] | None = None
         self._inputs: dict[Port, list[VCState]] | None = None
         self._out_holder: list[list[tuple[Port, int] | None]] | None = None
         self._vc_arbiters: list[RoundRobinArbiter] | None = None
@@ -121,14 +130,14 @@ class Router:
         self._slot_port, self._slot_vc = _slot_tables(n_vcs)
         # Occupancy tracking for the event-core fast path: which flat
         # slots hold flits, and which of those still await a VC grant.
-        self._occupied: set[int] = set()
-        self._needs_alloc: set[int] = set()
+        self._occupied: set[int] | None = None
+        self._needs_alloc: set[int] | None = None
         # Credit counters per output port (indexed by port value; LOCAL
-        # has no credit loop).  Eager: the network wires neighbouring
-        # routers' credit lists together at construction time.
-        self.credits: list[list[int] | None] = [None] + [
-            [vc_depth] * n_vcs for _ in range(_N_PORTS - 1)
-        ]
+        # has no credit loop).
+        self._credits: list[list[int] | None] | None = None
+        #: Per-outport BT recorder handles, bound by the network on a
+        #: link's first traversal (indexed by port value).
+        self.out_recorders: list["LinkRecorder | None"] | None = None
         self.buffered_flits = 0
         # Observability counters.  Plain ints bumped on paths both
         # cycle-loop cores share (or at behaviourally identical points
@@ -142,30 +151,52 @@ class Router:
 
     # -- lazy state materialisation ------------------------------------
 
-    def _materialize(self) -> list[VCState]:
-        """Build the VC buffers and allocation state on first use."""
+    def _materialize(self) -> list[VCState | None]:
+        """Build the credit, allocation and slot state on first use."""
         n_vcs = self.n_vcs
-        slots = [VCState(self.vc_depth) for _ in range(_N_PORTS * n_vcs)]
-        self._slots = slots
-        self._inputs = {
-            port: slots[port * n_vcs:(port + 1) * n_vcs] for port in Port
-        }
-        self._out_holder = [[None] * n_vcs for _ in range(_N_PORTS)]
         n_slots = _N_PORTS * n_vcs
+        slots: list[VCState | None] = [None] * n_slots
+        self._slots = slots
+        self._out_holder = [[None] * n_vcs for _ in range(_N_PORTS)]
         self._vc_arbiters = [
             RoundRobinArbiter(n_slots) for _ in range(_N_PORTS)
         ]
         self._sw_arbiters = [
             RoundRobinArbiter(n_slots) for _ in range(_N_PORTS)
         ]
+        self._occupied = set()
+        self._needs_alloc = set()
+        self._credits = [None] + [
+            [self.vc_depth] * n_vcs for _ in range(_N_PORTS - 1)
+        ]
+        self.out_recorders = [None] * _N_PORTS
         return slots
 
     @property
     def inputs(self) -> dict[Port, list[VCState]]:
-        """Per-port input VC states (shared objects with the flat view)."""
+        """Per-port input VC states (shared objects with the flat view).
+
+        Fills every slot the event core has not built yet.
+        """
         if self._inputs is None:
-            self._materialize()
+            slots = self._slots
+            if slots is None:
+                slots = self._materialize()
+            for flat, state in enumerate(slots):
+                if state is None:
+                    slots[flat] = VCState(self.vc_depth)
+            n_vcs = self.n_vcs
+            self._inputs = {
+                port: slots[port * n_vcs:(port + 1) * n_vcs] for port in Port
+            }
         return self._inputs
+
+    @property
+    def credits(self) -> list[list[int] | None]:
+        """Credit counters per output port (indexed by port value)."""
+        if self._credits is None:
+            self._materialize()
+        return self._credits
 
     @property
     def out_holder(self) -> list[list[tuple[Port, int] | None]]:
@@ -245,7 +276,7 @@ class Router:
                     continue
                 if (
                     out_port is not Port.LOCAL
-                    and self.credits[out_port][state.out_vc] <= 0
+                    and self._credits[out_port][state.out_vc] <= 0
                 ):
                     continue
                 requests.setdefault(out_port, []).append(
@@ -320,7 +351,7 @@ class Router:
             out_port = state.out_port
             if out_port is None:
                 return
-            if out_port is not _LOCAL and self.credits[out_port][out_vc] <= 0:
+            if out_port is not _LOCAL and self._credits[out_port][out_vc] <= 0:
                 return
             # State update identical to pick_indices([flat]).
             self._sw_arbiters[out_port]._last_winner = flat
@@ -353,7 +384,7 @@ class Router:
                     self._grant_vcs_fast(out_port, reqs)
         if not occupied:
             return
-        credits = self.credits
+        credits = self._credits
         sendable: dict[Port, list[int]] | None = None
         for flat in sorted(occupied):
             state = slots[flat]
@@ -423,7 +454,7 @@ class Router:
         if out_vc is None:
             raise ProtocolError("traversal without an allocated VC")
         if out_port is not _LOCAL:
-            port_credits = self.credits[out_port]
+            port_credits = self._credits[out_port]
             port_credits[out_vc] -= 1
             if port_credits[out_vc] < 0:
                 raise ProtocolError(
@@ -456,7 +487,9 @@ class Router:
         if slots is None:
             slots = self._materialize()
         state = slots[flat]
-        if len(state.fifo) >= state.capacity:
+        if state is None:
+            state = slots[flat] = VCState(self.vc_depth)
+        elif len(state.fifo) >= state.capacity:
             raise ProtocolError(
                 f"router {self.node_id} port {self._slot_port[flat].name} "
                 f"VC {self._slot_vc[flat]}: "
@@ -473,9 +506,8 @@ class Router:
     def local_vc_space(self, vc_idx: int) -> int:
         """Free slots in the local (injection) input VC buffer."""
         slots = self._slots
-        if slots is None:
-            slots = self._materialize()
-        return slots[vc_idx].free_slots
+        state = None if slots is None else slots[vc_idx]
+        return self.vc_depth if state is None else state.free_slots
 
     @property
     def is_active(self) -> bool:
