@@ -11,10 +11,13 @@ Turns one-off simulations into declarative, cached, parallel campaigns:
 * :mod:`repro.experiments.cache` — content-addressed result cache keyed
   by job identity + code-version tag, with verify-on-read digests and
   corrupt-entry quarantine.
-* :mod:`repro.experiments.runner` — :class:`CampaignRunner` supervised
-  execution with per-job failure capture, wall-clock timeouts, seeded
-  retry/backoff, poison-job quarantine, and journal-backed resume,
-  dispatching through the registry.
+* :mod:`repro.experiments.book` — the :class:`~repro.experiments.book.
+  JobBook`: journal/cache triage, seeded retry/backoff, poison-job
+  quarantine and the grid-order result, shared by every transport.
+* :mod:`repro.experiments.runner` — :class:`CampaignRunner`, the
+  inline and process-per-job transports over the book (per-job
+  failure capture, wall-clock timeouts), dispatching through the
+  registry.
 * :mod:`repro.experiments.faults` — deterministic fault injection
   (:class:`FaultPlan`) and error classification for chaos testing the
   real multiprocessing path.

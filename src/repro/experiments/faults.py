@@ -5,7 +5,7 @@ CampaignRunner` — per-job timeouts, retry with backoff, worker-crash
 recovery, quarantine, journaled resume — are each proven against the
 failure they handle by injecting that failure into the *real*
 execution path.  A :class:`FaultPlan` maps jobs (by grid index or
-job_id) to :class:`FaultAction` lists; the runner serialises the
+job_id) to :class:`FaultAction` lists; the job book serialises the
 matching actions into the job payload, and ``execute_job`` applies
 them inside the worker process, so an injected hang really occupies a
 pool slot and an injected kill really takes a worker down mid-job.
@@ -21,7 +21,7 @@ artifacts rather than processes; :func:`corrupt_cache_entry` and
 :func:`tear_file_tail` are the chaos-test counterparts of the
 verify-on-read and torn-tail-recovery machinery.
 
-:func:`classify_error` is the runner's transient-vs-permanent triage:
+:func:`classify_error` is the job book's transient-vs-permanent triage:
 transient failures (injected or environmental) are retried with
 backoff, permanent ones (a real bug, a budget overrun) fail fast.
 """
@@ -145,7 +145,7 @@ class FaultPlan:
     Actions are keyed by grid index (int, or all-digit string — the
     CI-friendly spelling, since indices are known before job_ids are)
     or by job_id prefix.  ``actions_for`` returns the actions whose
-    ``attempt`` matches, so the runner consults the plan once per
+    ``attempt`` matches, so the job book consults the plan once per
     dispatch.
     """
 

@@ -1,81 +1,57 @@
-"""Campaign execution: fault-tolerant worker pool, cache, journal.
+"""Campaign execution: one job book, three transports.
 
-The :class:`CampaignRunner` takes a sweep (or an explicit job list),
-serves every already-simulated point from the
-:class:`~repro.experiments.cache.ResultCache` (and, on resume, from
-the :class:`~repro.experiments.store.CampaignJournal`), and executes
-the misses across worker processes.  Execution dispatches through the
-job-kind registry (:mod:`repro.experiments.kinds`), so model, batch,
-synthetic, and replay jobs — and any kind registered later — share one
-runner.  Job records are fully deterministic (no timestamps, no host
-state), so a sweep executed with one worker is byte-identical to the
-same sweep executed with eight — the property the cache, the journal,
-and the chaos regression tests rely on.
+A :class:`CampaignRunner` runs a sweep (or a job list) as a
+:class:`~repro.experiments.book.JobBook`, which holds every job rule:
+journal and cache triage, attempts, retry with seeded backoff,
+quarantine, first-completion-wins and the grid-order result.  The
+runner only executes the book's dispatches, over one of two
+transports (the third is the socket service,
+:class:`~repro.service.server.SweepServer`):
 
-Resilience model
-----------------
+* **Inline** (``workers=1``, no timeout, no fault plan) — jobs run in
+  this process, and variants of one mesh share one simulated NoC link
+  schedule (:func:`~repro.accelerator.simulator.schedule_sharing`).
+* **Supervised** — one child process per in-flight job.  A child past
+  ``job_timeout`` is killed and settles as a ``JobTimeout``; one that
+  dies without a result (``os._exit``, SIGKILL, OOM) settles as a
+  ``WorkerCrash``.  Both are transient, so they retry.
 
-Fresh jobs run under a supervisor that owns one child process per
-in-flight job (``workers`` slots), collecting results asynchronously:
-
-* **Timeouts** — a job past ``job_timeout`` wall-clock seconds is
-  killed and captured as a ``JobTimeout`` failure; the hung worker
-  never blocks the rest of the campaign.
-* **Worker crashes** — a child that dies without returning a result
-  (``os._exit``, SIGKILL, OOM) is captured as a ``WorkerCrash``
-  failure; the supervisor just launches the next job.
-* **Retry with backoff** — failures classified transient
-  (:func:`~repro.experiments.faults.classify_error`; timeouts and
-  crashes included) are retried up to ``max_retries`` times after a
-  seeded exponential backoff.  Deterministic failures are permanent
-  and fail fast.
-* **Quarantine** — a job that exhausts its retries on transient-class
-  failures is quarantined: recorded as failed, listed in the failure
-  report, never allowed to take the campaign down.
-* **Graceful degradation** — a campaign always completes (or
-  checkpoints on SIGINT) with partial results plus a structured
-  :meth:`CampaignResult.failure_report`; ``run`` does not raise for
-  job failures of any class.
-
-A failed job is captured as a ``status="error"`` record with its
-error class and attempt count; it is *not* cached (so the point
-retries on the next run) and still lands in the result store for
-inspection.  Injected faults (:mod:`repro.experiments.faults`) ride
-the job payload into the worker, so every one of these features is
-tested against the real multiprocessing path it defends.
+Job records are deterministic (no timestamps, no host state), so one
+worker and eight store byte-identical records — the property the
+cache, the journal and the chaos tests rely on.  ``run`` never raises
+for a failed job: the campaign completes (or checkpoints on
+SIGINT/SIGTERM) with a structured :meth:`CampaignResult.
+failure_report`, and failed jobs land in the store uncached, so they
+retry next run.  Injected faults (:mod:`repro.experiments.faults`)
+ride the payload into the real worker path they test.
 """
 
 from __future__ import annotations
 
 import contextlib
-import heapq
 import multiprocessing
 import os
 import signal
 import threading
 import time
 import traceback
-from collections import deque
-from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Iterator
 
 from repro.accelerator.simulator import schedule_sharing
+from repro.experiments.book import (
+    CampaignResult,
+    Dispatch,
+    JobBook,
+    SpecDriftError,
+    error_record,
+)
 from repro.experiments.cache import ResultCache
-from repro.experiments.faults import (
-    FaultPlan,
-    apply_fault_actions,
-    backoff_seconds,
-    classify_error,
-)
+from repro.experiments.faults import FaultPlan, apply_fault_actions
 from repro.experiments.kinds import job_kind
-from repro.experiments.spec import JobSpec, SweepSpec, campaign_id
+from repro.experiments.spec import JobSpec, SweepSpec
 from repro.experiments.store import CampaignJournal, ResultStore
-from repro.obs.metrics import (
-    active_registry,
-    merge_metrics,
-    metrics_suspended,
-)
+from repro.obs.metrics import active_registry, metrics_suspended
 
 __all__ = [
     "execute_job",
@@ -84,18 +60,6 @@ __all__ = [
     "SpecDriftError",
     "sigterm_as_interrupt",
 ]
-
-
-class SpecDriftError(RuntimeError):
-    """A resume was attempted with a spec that no longer matches the
-    journaled campaign.
-
-    :func:`~repro.experiments.spec.campaign_id` hashes the full
-    canonical spec, so any drift — an edited grid, a changed seed, a
-    renamed campaign — changes the id.  Resuming anyway would silently
-    mix two different campaigns' results in one store; failing loudly
-    is the only safe behaviour.
-    """
 
 
 @contextlib.contextmanager
@@ -162,19 +126,12 @@ def execute_job(payload: dict[str, Any]) -> dict[str, Any]:
             job_id = JobSpec.from_dict(payload).job_id
         except Exception:
             job_id = "?"
-        return {
-            "job_id": job_id,
-            "kind": payload.get("kind", "model"),
-            "model": payload.get("model", "?"),
-            "model_seed": payload.get("model_seed"),
-            "image_seed": payload.get("image_seed"),
-            "n_images": payload.get("n_images"),
-            "config": payload.get("config", {}),
-            "status": "error",
-            "result": None,
-            "error": f"{type(exc).__name__}: {exc}",
-            "traceback": traceback.format_exc(),
-        }
+        return error_record(
+            payload,
+            job_id,
+            f"{type(exc).__name__}: {exc}",
+            traceback=traceback.format_exc(),
+        )
 
 
 def _worker_main(conn, payload: dict[str, Any]) -> None:
@@ -182,9 +139,13 @@ def _worker_main(conn, payload: dict[str, Any]) -> None:
 
     SIGINT is ignored in workers — a Ctrl-C belongs to the supervisor,
     which checkpoints the journal and kills children deliberately
-    instead of letting the process group race to die.
+    instead of letting the process group race to die.  SIGTERM gets its
+    default action back: a forked child inherits the parent's
+    :func:`sigterm_as_interrupt` handler, and the supervisor's kill
+    must end the child, not raise KeyboardInterrupt inside it.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     record = execute_job(payload)
     try:
         conn.send(record)
@@ -193,331 +154,37 @@ def _worker_main(conn, payload: dict[str, Any]) -> None:
         os._exit(1)
 
 
-@dataclass
-class _Task:
-    """One (job, attempt) dispatch the supervisor tracks."""
+def _run_supervised(
+    book: JobBook, workers: int, job_timeout: float | None
+) -> bool:
+    """Process transport: one daemonic child per in-flight job.
 
-    index: int
-    job_id: str
-    kind: str
-    payload: dict[str, Any]
-    attempt: int = 1
-
-
-def _failure_record(
-    task: _Task, error: str, error_class: str
-) -> dict[str, Any]:
-    """Synthetic error record for failures with no worker to report
-    them (timeouts, crashes) — same shape as execute_job's."""
-    payload = task.payload
-    return {
-        "job_id": task.job_id,
-        "kind": payload.get("kind", "model"),
-        "model": payload.get("model", "?"),
-        "model_seed": payload.get("model_seed"),
-        "image_seed": payload.get("image_seed"),
-        "n_images": payload.get("n_images"),
-        "config": payload.get("config", {}),
-        "status": "error",
-        "result": None,
-        "error": error,
-        "error_class": error_class,
-    }
-
-
-def _kind_transients(kind_name: str) -> tuple[str, ...]:
-    """The kind's extra retryable error types ('' registry-safe)."""
-    try:
-        return job_kind(kind_name).transient_errors
-    except Exception:
-        return ()
-
-
-@dataclass
-class CampaignResult:
-    """Outcome of one campaign run.
-
-    Attributes:
-        name: campaign name.
-        records: one record per completed job, in grid order (on an
-            interrupted run, jobs never dispatched have no record).
-        hits / misses: cache accounting for this run.
-        errors: jobs whose final record failed (status="error").
-        elapsed_seconds: wall-clock time of the run.
-        workers: pool size used for the misses.
-        resumed: jobs served from the campaign journal (a `--resume`).
-        retries: re-dispatches after transient-class failures.
-        timeouts: attempts killed for exceeding the job timeout.
-        worker_crashes: attempts whose worker died without a result.
-        quarantined: job_ids that exhausted retries on transient-class
-            failures (the poison jobs).
-        interrupted: True when SIGINT checkpointed the run early.
-        remaining: job_ids never run (interrupted before dispatch).
-        failures: structured per-failure dicts (job_id, label, error,
-            error_class, attempts, quarantined).
-        metrics: campaign-wide observability aggregate — every
-            record's ``result["metrics"]`` merged (``.peak`` names by
-            max, the rest summed) plus the runner's own ``cache.*`` /
-            ``runner.*`` counters.
-        schedules_simulated / schedules_shared: inline-run jobs that
-            stepped the NoC vs jobs scored entirely from a link
-            schedule an earlier job recorded (see
-            :func:`repro.accelerator.simulator.schedule_sharing`).
-            Both stay 0 for supervised runs, which simulate every job.
+    Unlike a ``multiprocessing.Pool``, it can kill a hung child at its
+    deadline and see a dead one's exit code; the :class:`JobBook`
+    decides what each outcome means.  The per-job fork is noise at
+    simulation-scale job costs (see the bench regression gate).
+    Returns True when a KeyboardInterrupt stopped the run: in-flight
+    children are killed and their jobs stay unsettled.
     """
+    ctx = multiprocessing.get_context()
+    running: dict[Any, tuple[Dispatch, Any, float | None]] = {}
 
-    name: str
-    records: list[dict[str, Any]] = field(default_factory=list)
-    hits: int = 0
-    misses: int = 0
-    errors: int = 0
-    elapsed_seconds: float = 0.0
-    workers: int = 1
-    resumed: int = 0
-    retries: int = 0
-    timeouts: int = 0
-    worker_crashes: int = 0
-    quarantined: list[str] = field(default_factory=list)
-    interrupted: bool = False
-    remaining: list[str] = field(default_factory=list)
-    failures: list[dict[str, Any]] = field(default_factory=list)
-    metrics: dict[str, Any] = field(default_factory=dict)
-    schedules_simulated: int = 0
-    schedules_shared: int = 0
-
-    @property
-    def n_jobs(self) -> int:
-        return len(self.records)
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of jobs served from cache, in [0, 1]."""
-        if not self.records:
-            return 0.0
-        return self.hits / len(self.records)
-
-    def ok_records(self) -> list[dict[str, Any]]:
-        return [r for r in self.records if r.get("status") == "ok"]
-
-    def summary(self) -> str:
-        """The printed cache-hit summary line."""
-        line = (
-            f"campaign {self.name!r}: {self.n_jobs} jobs, "
-            f"{self.hits} cache hits / {self.misses} simulated "
-            f"({100.0 * self.hit_rate:.1f}% hit rate), "
-            f"{self.errors} errors, {self.workers} workers, "
-            f"{self.elapsed_seconds:.2f}s"
-        )
-        if self.schedules_simulated or self.schedules_shared:
-            line += (
-                f"; schedules: {self.schedules_simulated} simulated, "
-                f"{self.schedules_shared} shared"
-            )
-        extras = []
-        if self.resumed:
-            extras.append(f"{self.resumed} resumed")
-        if self.retries:
-            extras.append(f"{self.retries} retries")
-        if self.timeouts:
-            extras.append(f"{self.timeouts} timeouts")
-        if self.worker_crashes:
-            extras.append(f"{self.worker_crashes} worker crashes")
-        if self.quarantined:
-            extras.append(f"{len(self.quarantined)} quarantined")
-        if extras:
-            line += f" [{', '.join(extras)}]"
-        if self.interrupted:
-            line += (
-                f" — INTERRUPTED with {len(self.remaining)} job(s) left"
-            )
-        return line
-
-    def failure_report(self) -> dict[str, Any]:
-        """Structured account of everything that went wrong (or not).
-
-        Always well-formed — an all-green campaign reports zero counts
-        — so report plumbing and the journal ``end``/``checkpoint``
-        entries can carry it unconditionally.
-        """
-        by_class: dict[str, int] = {}
-        for failure in self.failures:
-            cls = failure.get("error_class", "permanent")
-            by_class[cls] = by_class.get(cls, 0) + 1
-        return {
-            "campaign": self.name,
-            "completed": len(self.ok_records()),
-            "failed": len(self.failures),
-            "by_class": by_class,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "worker_crashes": self.worker_crashes,
-            "quarantined": list(self.quarantined),
-            "interrupted": self.interrupted,
-            "remaining": list(self.remaining),
-            "failures": list(self.failures),
-        }
-
-
-class _Supervisor:
-    """Async result collection over one-child-per-in-flight-job.
-
-    Replaces ``multiprocessing.Pool``: a pool cannot kill a hung task,
-    and a worker that hard-dies strands its AsyncResult forever.  With
-    one (daemonic) child per dispatch the supervisor can enforce
-    wall-clock deadlines with ``terminate``/``kill``, observe crash
-    exit codes directly, and keep scheduling while failed attempts sit
-    out their backoff.  Children are forked per job; at
-    simulation-scale job costs the fork overhead is noise (see the
-    bench regression gate).
-    """
-
-    def __init__(self, runner: "CampaignRunner") -> None:
-        self.runner = runner
-        self.retries = 0
-        self.timeouts = 0
-        self.worker_crashes = 0
-        self.quarantined: list[str] = []
-        self.interrupted = False
-
-    def run(
-        self,
-        tasks: list[_Task],
-        on_final: Callable[[int, dict[str, Any], int], None],
-    ) -> dict[int, dict[str, Any]]:
-        """Run every task to a final record; returns index -> record.
-
-        ``on_final(index, record, attempts)`` fires once per job as its
-        outcome settles (ok, or error after retries), in completion
-        order.  On KeyboardInterrupt the in-flight children are killed
-        and the partial result map is returned with ``interrupted``
-        set.
-        """
-        runner = self.runner
-        ctx = multiprocessing.get_context()
-        results: dict[int, dict[str, Any]] = {}
-        pending: deque[_Task] = deque(tasks)
-        waiting: list[tuple[float, int, _Task]] = []  # backoff heap
-        running: dict[Any, tuple[_Task, Any, float | None]] = {}
-        seq = 0
-
-        def finalize(task: _Task, record: dict[str, Any]) -> None:
-            results[task.index] = record
-            on_final(task.index, record, task.attempt)
-
-        def settle(task: _Task, record: dict[str, Any]) -> None:
-            nonlocal seq
-            if record.get("status") == "ok":
-                finalize(task, record)
-                return
-            error_class = record.get("error_class") or classify_error(
-                record.get("error"), _kind_transients(task.kind)
-            )
-            if (
-                error_class != "permanent"
-                and task.attempt <= runner.max_retries
-            ):
-                self.retries += 1
-                delay = backoff_seconds(
-                    runner.backoff_seed,
-                    task.job_id,
-                    task.attempt,
-                    runner.backoff_base,
-                    runner.backoff_cap,
-                )
-                seq += 1
-                heapq.heappush(
-                    waiting,
-                    (
-                        time.monotonic() + delay,
-                        seq,
-                        _Task(
-                            task.index,
-                            task.job_id,
-                            task.kind,
-                            task.payload,
-                            task.attempt + 1,
-                        ),
-                    ),
-                )
-                return
-            record = dict(record)
-            record["error_class"] = error_class
-            record["attempts"] = task.attempt
-            record["quarantined"] = error_class != "permanent"
-            if record["quarantined"]:
-                self.quarantined.append(task.job_id)
-            finalize(task, record)
-
-        try:
-            while pending or waiting or running:
-                now = time.monotonic()
-                while waiting and waiting[0][0] <= now:
-                    pending.appendleft(heapq.heappop(waiting)[2])
-                while pending and len(running) < runner.workers:
-                    self._launch(ctx, pending.popleft(), running)
-                if not running:
-                    # Everything is sitting out a backoff window.
-                    time.sleep(
-                        max(0.0, waiting[0][0] - time.monotonic())
-                    )
-                    continue
-                ready = mp_connection.wait(
-                    list(running), self._next_wake(running, waiting)
-                )
-                for conn in ready:
-                    task, proc, _ = running.pop(conn)
-                    settle(task, self._collect(conn, proc, task))
-                self._reap_timeouts(running, settle)
-        except KeyboardInterrupt:
-            self.interrupted = True
-            for conn, (task, proc, _) in list(running.items()):
-                self._kill(proc)
-                conn.close()
-        return results
-
-    # -- internals -------------------------------------------------------
-
-    def _launch(self, ctx, task: _Task, running: dict) -> None:
-        payload = task.payload
-        plan: FaultPlan | None = self.runner.fault_plan
-        if plan is not None:
-            # Network faults belong to the service socket layer; an
-            # in-process worker has no socket to fault, so only the
-            # in-worker kinds ride the payload.
-            actions = [
-                a
-                for a in plan.actions_for(
-                    task.job_id, task.index, task.attempt
-                )
-                if not a.is_network
-            ]
-            if actions:
-                payload = dict(payload)
-                payload["_fault"] = [a.to_dict() for a in actions]
+    def launch(task: Dispatch) -> None:
+        # A child has no socket to fault: only the payload's in-worker
+        # faults fire here, never the task's network faults.
         parent_conn, child_conn = ctx.Pipe(duplex=False)
         proc = ctx.Process(
-            target=_worker_main, args=(child_conn, payload), daemon=True
+            target=_worker_main, args=(child_conn, task.payload), daemon=True
         )
         proc.start()
         child_conn.close()  # keep one write end, so EOF means death
         deadline = (
-            None
-            if self.runner.job_timeout is None
-            else time.monotonic() + self.runner.job_timeout
+            None if job_timeout is None else time.monotonic() + job_timeout
         )
         running[parent_conn] = (task, proc, deadline)
 
-    @staticmethod
-    def _next_wake(running: dict, waiting: list) -> float | None:
-        marks = [d for _, _, d in running.values() if d is not None]
-        if waiting:
-            marks.append(waiting[0][0])
-        if not marks:
-            return None
-        return max(0.0, min(marks) - time.monotonic())
-
-    def _collect(self, conn, proc, task: _Task) -> dict[str, Any]:
-        record = None
+    def collect(conn) -> None:
+        task, proc, _ = running.pop(conn)
         try:
             record = conn.recv()
         except (EOFError, OSError):
@@ -526,45 +193,69 @@ class _Supervisor:
             conn.close()
         proc.join(timeout=5.0)
         if isinstance(record, dict):
-            return record
-        self.worker_crashes += 1
-        return _failure_record(
-            task,
+            book.settle(task.index, task.attempt, record, time.monotonic())
+            return
+        book.fail(
+            task.index,
+            task.attempt,
             f"WorkerCrash: worker exited with code {proc.exitcode} "
             f"before returning a result (attempt {task.attempt})",
             "worker_crash",
+            time.monotonic(),
         )
 
-    def _reap_timeouts(self, running: dict, settle) -> None:
+    def reap_timeouts() -> None:
         now = time.monotonic()
-        expired = [
-            conn
-            for conn, (_, _, deadline) in running.items()
-            if deadline is not None and now >= deadline
-        ]
-        for conn in expired:
-            task, proc, _ = running.pop(conn)
-            self._kill(proc)
+        for conn, (task, proc, deadline) in list(running.items()):
+            if deadline is None or now < deadline:
+                continue
+            del running[conn]
+            _kill(proc)
             conn.close()
-            self.timeouts += 1
-            settle(
-                task,
-                _failure_record(
-                    task,
-                    f"JobTimeout: exceeded the "
-                    f"{self.runner.job_timeout:g}s wall-clock budget "
-                    f"(attempt {task.attempt})",
-                    "timeout",
-                ),
+            book.fail(
+                task.index,
+                task.attempt,
+                f"JobTimeout: exceeded the {job_timeout:g}s wall-clock "
+                f"budget (attempt {task.attempt})",
+                "timeout",
+                time.monotonic(),
             )
 
-    @staticmethod
-    def _kill(proc) -> None:
-        proc.terminate()
-        proc.join(timeout=1.0)
-        if proc.is_alive():  # pragma: no cover - SIGTERM blocked
-            proc.kill()
-            proc.join(timeout=5.0)
+    try:
+        while not book.finished:
+            while len(running) < workers:
+                task = book.next(time.monotonic())
+                if task is None:
+                    break
+                launch(task)
+            marks = [d for _, _, d in running.values() if d is not None]
+            ready = book.ready_at()
+            if ready is not None:
+                marks.append(ready)
+            wake = (
+                max(0.0, min(marks) - time.monotonic()) if marks else None
+            )
+            if not running:
+                # Everything is sitting out a backoff window.
+                time.sleep(wake or 0.0)
+                continue
+            for conn in mp_connection.wait(list(running), wake):
+                collect(conn)
+            reap_timeouts()
+    except KeyboardInterrupt:
+        for conn, (_, proc, _) in running.items():
+            _kill(proc)
+            conn.close()
+        return True
+    return False
+
+
+def _kill(proc) -> None:
+    proc.terminate()
+    proc.join(timeout=1.0)
+    if proc.is_alive():  # pragma: no cover - SIGTERM blocked
+        proc.kill()
+        proc.join(timeout=5.0)
 
 
 class CampaignRunner:
@@ -651,66 +342,15 @@ class CampaignRunner:
     def _run(
         self,
         sweep: SweepSpec | list[JobSpec],
-        progress: Callable[[str], None] | None = None,
-        telemetry: Callable[[dict[str, Any]], None] | None = None,
+        progress: Callable[[str], None] | None,
+        telemetry: Callable[[dict[str, Any]], None] | None,
     ) -> CampaignResult:
-        spec = sweep if isinstance(sweep, SweepSpec) else None
-        if spec is not None:
-            name = spec.name
-            jobs = spec.expand()
-        else:
-            name = "jobs"
-            jobs = list(sweep)
         started = time.perf_counter()
-        corrupt_before = self.cache.corrupt_dropped if self.cache else 0
 
-        journal_done: dict[str, dict[str, Any]] = {}
-        if self.journal is not None:
-            if self.journal.exists():
-                self.journal.recover()
-                if spec is not None:
-                    self._check_spec_drift(spec)
-                journal_done = self.journal.completed()
-                self.journal.append({"event": "resume"})
-            else:
-                self.journal.start(
-                    campaign_id(spec) if spec is not None else name,
-                    name,
-                    spec.to_dict() if spec is not None else None,
-                    str(self.store.path) if self.store else None,
-                )
-
-        resumed: dict[int, dict[str, Any]] = {}
-        cached: dict[int, dict[str, Any]] = {}
-        todo: list[tuple[int, JobSpec]] = []
-        for index, job in enumerate(jobs):
-            journaled = journal_done.get(job.job_id)
-            if journaled is not None:
-                resumed[index] = journaled
-                continue
-            record = self.cache.get_job(job) if self.cache else None
-            if record is not None:
-                cached[index] = record
-            else:
-                todo.append((index, job))
-
-        n_fresh = len(todo)
-        n_served = len(cached) + len(resumed)
-        done = failed = 0
-
-        def on_result(record: dict[str, Any], attempts: int = 1) -> None:
-            nonlocal done, failed
-            done += 1
-            if record.get("status") == "error":
-                failed += 1
-            elif self.journal is not None:
-                # Journal completions the moment they happen — the
-                # crash-safety contract — in their final store form.
-                self.journal.record_job(
-                    {**record, "cached": False, "campaign": name}
-                )
+        def on_final(book: JobBook, record: dict[str, Any]) -> None:
             if telemetry is None:
                 return
+            done, n_fresh = book.done, book.misses
             elapsed = time.perf_counter() - started
             telemetry(
                 {
@@ -718,8 +358,8 @@ class CampaignRunner:
                     "status": record.get("status"),
                     "done": done,
                     "total": n_fresh,
-                    "cached": n_served,
-                    "failed": failed,
+                    "cached": len(book.cached) + len(book.resumed),
+                    "failed": book.failed,
                     "running": min(self.workers, n_fresh - done),
                     "elapsed_seconds": elapsed,
                     "eta_seconds": (
@@ -728,214 +368,76 @@ class CampaignRunner:
                 }
             )
 
-        out = CampaignResult(
-            name=name,
-            hits=len(cached),
-            misses=len(todo),
-            workers=self.workers,
-            resumed=len(resumed),
+        book = JobBook(
+            sweep,
+            cache=self.cache,
+            store=self.store,
+            journal=self.journal,
+            max_retries=self.max_retries,
+            backoff_seed=self.backoff_seed,
+            backoff_base=self.backoff_base,
+            backoff_cap=self.backoff_cap,
+            fault_plan=self.fault_plan,
+            on_final=on_final,
         )
-        fresh = self._execute(todo, on_result, out)
-
-        by_index: dict[int, dict[str, Any]] = dict(cached)
-        by_index.update(fresh)
-        job_by_index = {index: job for index, job in todo}
-        for index, record in fresh.items():
-            if self.cache is not None and record.get("status") == "ok":
-                self.cache.put_job(job_by_index[index], record)
-        for index, record in resumed.items():
-            by_index[index] = record
-        for index in range(len(jobs)):
-            if index not in by_index:
-                out.remaining.append(jobs[index].job_id)
-                continue
-            record = dict(by_index[index])
-            record["cached"] = index in cached
-            record["campaign"] = name
-            if index in resumed:
-                record["resumed"] = True
-            if record.get("status") == "error" and index in fresh:
-                out.errors += 1
-                out.failures.append(
-                    {
-                        "job_id": record.get("job_id"),
-                        "kind": record.get("kind", "model"),
-                        "label": jobs[index].label(),
-                        "error": record.get("error"),
-                        "error_class": record.get(
-                            "error_class", "permanent"
-                        ),
-                        "attempts": record.get("attempts", 1),
-                        "quarantined": record.get("quarantined", False),
-                    }
-                )
-            out.records.append(record)
-            if progress is not None:
-                progress(_progress_line(record))
-        out.elapsed_seconds = time.perf_counter() - started
-        corrupt_delta = (
-            self.cache.corrupt_dropped - corrupt_before if self.cache else 0
-        )
-        out.metrics = self._aggregate_metrics(out, corrupt_delta)
-        registry = active_registry()
-        if registry is not None:
-            registry.merge(out.metrics)
-        if self.store is not None:
-            self.store.extend(out.records)
-        if self.journal is not None:
-            event = "checkpoint" if out.interrupted else "end"
-            self.journal.append(
-                {"event": event, "report": out.failure_report()}
-            )
-        return out
-
-    def _check_spec_drift(self, spec: SweepSpec) -> None:
-        """Refuse to resume a journal for a different campaign."""
-        assert self.journal is not None
-        entry = self.journal.start_entry() or {}
-        journaled = entry.get("campaign_id")
-        expected = campaign_id(spec)
-        if journaled is not None and journaled != expected:
-            raise SpecDriftError(
-                f"journal {self.journal.path} records campaign "
-                f"{journaled!r} ({entry.get('campaign')!r}), but this "
-                f"spec derives {expected!r} ({spec.name!r}); the grid, "
-                f"seed, or name has drifted since the journal was "
-                f"written — resume with the original spec, or start a "
-                f"fresh campaign (delete the journal or change "
-                f"--journal)"
-            )
-
-    def _aggregate_metrics(
-        self, out: CampaignResult, cache_corrupt: int = 0
-    ) -> dict[str, Any]:
-        """Campaign-wide metrics: record snapshots + runner counters.
-
-        Cached records contribute too — their stored metrics describe
-        the same deterministic simulations, so a fully-cached campaign
-        reports the same simulator counter families as a cold one.
-        """
-        metrics: dict[str, Any] = {}
-        for record in out.records:
-            result = record.get("result") or {}
-            snapshot = result.get("metrics")
-            if snapshot:
-                merge_metrics(metrics, snapshot)
-        merge_metrics(
-            metrics,
-            {
-                "cache.hits": out.hits,
-                "cache.misses": out.misses,
-                "cache.errors": out.errors,
-                "cache.corrupt_entries": cache_corrupt,
-                "runner.jobs": out.n_jobs,
-                "runner.workers.peak": min(self.workers, out.misses),
-                "runner.resumed": out.resumed,
-                "runner.retries": out.retries,
-                "runner.timeouts": out.timeouts,
-                "runner.worker_crashes": out.worker_crashes,
-                "runner.quarantined": len(out.quarantined),
-            },
-        )
-        return metrics
-
-    def _execute(
-        self,
-        todo: list[tuple[int, JobSpec]],
-        on_result: Callable[[dict[str, Any], int], None],
-        out: CampaignResult,
-    ) -> dict[int, dict[str, Any]]:
-        """Execute the cache misses; returns index -> final record."""
-        if not todo:
-            return {}
-        tasks = [
-            _Task(index, job.job_id, job.kind, job.to_dict())
-            for index, job in todo
-        ]
         supervised = (
             self.workers > 1
             or self.job_timeout is not None
             or self.fault_plan is not None
         )
         if supervised:
-            supervisor = _Supervisor(self)
-            results = supervisor.run(
-                tasks,
-                lambda index, record, attempts: on_result(
-                    record, attempts
-                ),
+            interrupted = _run_supervised(
+                book, self.workers, self.job_timeout
             )
-            out.retries = supervisor.retries
-            out.timeouts = supervisor.timeouts
-            out.worker_crashes = supervisor.worker_crashes
-            out.quarantined = supervisor.quarantined
-            out.interrupted = supervisor.interrupted
-            return results
-        return self._execute_inline(tasks, on_result, out)
+            schedules = (0, 0)
+        else:
+            interrupted, schedules = self._execute_inline(book)
+        out = book.result(
+            workers=self.workers,
+            elapsed_seconds=time.perf_counter() - started,
+            interrupted=interrupted,
+        )
+        out.schedules_simulated, out.schedules_shared = schedules
+        registry = active_registry()
+        if registry is not None:
+            registry.merge(out.metrics)
+        if progress is not None:
+            for record in out.records:
+                progress(_progress_line(record))
+        return out
 
-    def _execute_inline(
-        self,
-        tasks: list[_Task],
-        on_result: Callable[[dict[str, Any], int], None],
-        out: CampaignResult,
-    ) -> dict[int, dict[str, Any]]:
-        """Single-process path: no subprocesses, so no kill/hang
-        defence — but the same retry/backoff/classification policy.
+    def _execute_inline(self, book: JobBook) -> tuple[bool, tuple[int, int]]:
+        """Inline transport: run each dispatch in this process.
 
-        Suspends any active registry around in-process execution: the
-        runner's single post-run aggregation is the one publication
-        path, matching supervised workers (whose processes never
-        publish into the parent's registry).  Jobs share NoC link
-        schedules for the length of the run (:func:`~repro.accelerator.
-        simulator.schedule_sharing`), so format and ordering variants
-        of one mesh simulate the network once.
+        Returns ``(interrupted, (schedules simulated, shared))``.  Any
+        active registry is suspended meanwhile: the post-run aggregate
+        is the one publication path, as for supervised children.  Jobs
+        share NoC link schedules (:func:`~repro.accelerator.simulator.
+        schedule_sharing`), so the variants of one mesh simulate the
+        network once.
         """
-        results: dict[int, dict[str, Any]] = {}
+        simulated = shared = 0
         try:
             with metrics_suspended(), schedule_sharing() as scope:
-                for task in tasks:
-                    simulated, shared = scope.simulated, scope.shared
-                    while True:
-                        record = execute_job(task.payload)
-                        if record.get("status") == "ok":
-                            break
-                        error_class = classify_error(
-                            record.get("error"),
-                            _kind_transients(task.kind),
-                        )
-                        if (
-                            error_class == "permanent"
-                            or task.attempt > self.max_retries
-                        ):
-                            record = dict(record)
-                            record["error_class"] = error_class
-                            record["attempts"] = task.attempt
-                            record["quarantined"] = (
-                                error_class != "permanent"
-                            )
-                            if record["quarantined"]:
-                                out.quarantined.append(task.job_id)
-                            break
-                        out.retries += 1
+                while not book.finished:
+                    task = book.next(time.monotonic())
+                    if task is None:
                         time.sleep(
-                            backoff_seconds(
-                                self.backoff_seed,
-                                task.job_id,
-                                task.attempt,
-                                self.backoff_base,
-                                self.backoff_cap,
-                            )
+                            max(0.0, book.ready_at() - time.monotonic())
                         )
-                        task.attempt += 1
-                    if scope.simulated > simulated:
-                        out.schedules_simulated += 1
-                    elif scope.shared > shared:
-                        out.schedules_shared += 1
-                    results[task.index] = record
-                    on_result(record, task.attempt)
+                        continue
+                    before = scope.simulated, scope.shared
+                    record = execute_job(task.payload)
+                    if scope.simulated > before[0]:
+                        simulated += 1
+                    elif scope.shared > before[1]:
+                        shared += 1
+                    book.settle(
+                        task.index, task.attempt, record, time.monotonic()
+                    )
         except KeyboardInterrupt:
-            out.interrupted = True
-        return results
+            return True, (simulated, shared)
+        return False, (simulated, shared)
 
 
 def _progress_line(record: dict[str, Any]) -> str:

@@ -54,7 +54,6 @@ without a full garbage-collector pass over a large mesh.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 from contextlib import contextmanager
 from dataclasses import InitVar, dataclass, field, fields
@@ -396,12 +395,7 @@ class Network:
         # record(link_name, bits, cycle, vc, flit) works; if it also
         # exposes record_send(cycle, packet), every packet injection
         # event is captured too (what trace replay re-injects).
-        # Collectors with the historical 3-arg record(link, bits,
-        # cycle) signature keep working — the hook arity is resolved
-        # once per collector, not per hop.
         self.trace_collector = None
-        self._trace_hook = None
-        self._trace_hook_owner = None
 
     # -- traffic interface ---------------------------------------------
 
@@ -465,9 +459,7 @@ class Network:
             if hops is not None:
                 hops.append(flit)
             if self.trace_collector is not None:
-                if self.trace_collector is not self._trace_hook_owner:
-                    self._bind_trace_hook()
-                self._trace_hook(
+                self.trace_collector.record(
                     recorder.name, bits, self.cycle, out_vc, flit
                 )
         self.stats.flit_hops += 1
@@ -506,60 +498,6 @@ class Network:
                 flit,
             )
         )
-
-    def _bind_trace_hook(self) -> None:
-        """Resolve the trace collector's record() arity, once.
-
-        The hook protocol grew from ``record(link, bits, cycle)`` to
-        ``record(link, bits, cycle, vc, flit)``; collectors written
-        against the old protocol are adapted instead of crashing on
-        the first traced hop.
-        """
-        record = self.trace_collector.record
-        legacy = keyword_only = False
-        try:
-            params = inspect.signature(record).parameters
-            n_positional = sum(
-                p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-                for p in params.values()
-            )
-            var_positional = any(
-                p.kind is p.VAR_POSITIONAL for p in params.values()
-            )
-            kw_names = {
-                name
-                for name, p in params.items()
-                if p.kind is p.KEYWORD_ONLY
-            } | (
-                {"vc", "flit"}
-                if any(p.kind is p.VAR_KEYWORD for p in params.values())
-                else set()
-            )
-            if not var_positional and n_positional == 3:
-                if {"vc", "flit"} <= kw_names:
-                    keyword_only = True
-                else:
-                    legacy = True
-            # Any other shape gets the direct 5-positional call: a
-            # genuinely incompatible signature then raises TypeError
-            # instead of silently losing vc/flit.
-        except (TypeError, ValueError):  # builtins without signatures
-            pass
-        if keyword_only:
-            self._trace_hook = (
-                lambda name, bits, cycle, vc, flit: record(
-                    name, bits, cycle, vc=vc, flit=flit
-                )
-            )
-        elif legacy:
-            self._trace_hook = (
-                lambda name, bits, cycle, vc, flit: record(
-                    name, bits, cycle
-                )
-            )
-        else:
-            self._trace_hook = record
-        self._trace_hook_owner = self.trace_collector
 
     def queue_credit(self, router: Router, in_port: Port, vc_idx: int) -> None:
         """Return a buffer credit to the upstream router."""

@@ -18,17 +18,21 @@ the first dot (``event.heap_pushes`` belongs to family ``event``).
 When merging snapshots, names ending in ``.peak`` combine by ``max``;
 everything else sums.
 
-Resilience families published by the campaign runner per run:
-``runner.retries`` / ``runner.timeouts`` / ``runner.worker_crashes`` /
-``runner.quarantined`` / ``runner.resumed`` count the fault-tolerance
-machinery's interventions, and ``cache.corrupt_entries`` counts cache
+Every campaign publishes one ``runner`` family and one ``cache``
+family, built by :meth:`repro.experiments.book.JobBook.result` whichever
+transport ran it (inline, supervised processes, or the sweep server):
+``runner.jobs`` / ``runner.workers.peak`` plus ``runner.retries`` /
+``runner.timeouts`` / ``runner.worker_crashes`` /
+``runner.quarantined`` / ``runner.resumed``, which count the
+fault-tolerance machinery's interventions, and ``cache.hits`` /
+``cache.misses`` / ``cache.errors`` / ``cache.corrupt_entries`` (cache
 entries that failed their verify-on-read digest and were quarantined
-for re-simulation.  All are plain sums (zero on a healthy run), so a
-chaos sweep's metrics dump shows exactly how much turbulence the
-campaign absorbed.
+for re-simulation).  All are plain sums except the ``.peak`` (zero on
+a healthy run), so a chaos sweep's metrics dump shows exactly how much
+turbulence the campaign absorbed.
 
-The sweep job server (:class:`repro.service.SweepServer`) publishes
-the ``service`` family once per served campaign:
+The sweep job server (:class:`repro.service.SweepServer`) adds the
+``service`` family once per served campaign:
 ``service.leases.granted`` / ``service.leases.renewed`` /
 ``service.leases.expired`` count the lease lifecycle,
 ``service.jobs.stolen`` counts expired leases re-granted to a

@@ -1,38 +1,23 @@
 """repro.service — the distributed sweep job service.
 
-Turns the campaign engine into a long-running, shareable system: one
-:class:`SweepServer` process owns a :class:`~repro.experiments.spec.
-SweepSpec`-derived job queue plus the crash-safe campaign journal, and
-any number of :class:`SweepWorker` processes — same host or remote —
-claim jobs over a small length-prefixed socket protocol
-(:mod:`repro.service.protocol`), execute them through the ordinary
-job-kind registry, and stream results back.
+One :class:`SweepServer` process serves a campaign's
+:class:`~repro.experiments.book.JobBook` (the job rules every sweep
+engine shares) over a small length-prefixed socket protocol
+(:mod:`repro.service.protocol`); any number of :class:`SweepWorker`
+processes, on this host or others, claim jobs under time-bounded
+leases (:mod:`repro.service.leases`), execute them through the
+ordinary job-kind registry, and stream results back.
 
-Robustness model
-----------------
-
-* **Time-bounded leases** (:mod:`repro.service.leases`) — a claimed
-  job must be heartbeated before its lease deadline; a worker that
-  dies, hangs, or drops off the network loses the lease and the job
-  returns to the queue for another worker ("work stealing").
-* **At-least-once, effectively-once** — re-executed jobs are
-  deterministic, the content-addressed
-  :class:`~repro.experiments.cache.ResultCache` dedups across
-  processes (with a cross-process atomic claim under a shared cache
-  root), and the server reconciles late results from presumed-dead
-  workers idempotently: the first completion wins, duplicates are
-  acknowledged and discarded.
-* **Crash-safe progress** — every completed job is journaled the
-  moment it lands, so a killed server resumes with ``repro serve
-  --resume <campaign-id>`` exactly like ``repro sweep --resume``;
-  SIGINT/SIGTERM drain gracefully and checkpoint the journal.
-* **Dead-server detection** — workers that lose the server retry with
-  backoff, then exit cleanly with a resume hint instead of spinning.
-* **Chaos-tested** — the :class:`~repro.experiments.faults.FaultPlan`
-  machinery grows network faults (connection drop, heartbeat stall,
-  half-written frame, delayed duplicate result) that fire through the
-  real socket path; the determinism gate pins a chaos-ridden served
-  campaign's rows byte-identical to a fault-free inline run.
+Execution is at-least-once and effectively-once: jobs are
+deterministic, a lapsed lease re-queues its job for another worker,
+the first completion wins, and a shared
+:class:`~repro.experiments.cache.ResultCache` root dedups work across
+workers.  Workers that lose the server reconnect with backoff, then
+exit with a resume hint.  Network faults of a
+:class:`~repro.experiments.faults.FaultPlan` (connection drop,
+heartbeat stall, torn frame, duplicate result) fire through the real
+socket path, and the chaos gate pins a faulted served campaign's rows
+to a fault-free inline run's.
 
 CLI: ``repro serve`` starts a server, ``repro work`` attaches a
 worker, ``repro sweep --server HOST:PORT`` runs a sweep as a

@@ -1,42 +1,33 @@
-"""The sweep job server: lease-based queue over a campaign journal.
+"""The sweep job server: the socket transport of the job book.
 
-A :class:`SweepServer` owns everything a `repro sweep` run owns — the
-expanded job list, the content-addressed cache triage, the crash-safe
-journal, the JSONL store — but executes nothing itself.  Workers
-connect over the :mod:`repro.service.protocol` socket and pull jobs
-under time-bounded leases; the server's only runtime duties are
-bookkeeping and recovery:
+A :class:`SweepServer` runs one campaign as a
+:class:`~repro.experiments.book.JobBook` — the same book, and so the
+same triage, retry, quarantine, first-completion-wins and grid-order
+result, as an inline or supervised ``repro sweep``; ``--resume``
+behaves identically too.  The server executes nothing.  It adds the
+transport:
 
-* grant jobs (cache hits and journal-resumed jobs are never queued),
-* renew leases on heartbeats,
-* return orphaned jobs to the queue when a lease expires (dead or
-  stalled worker — "work stealing" from the claimant's perspective),
-* reconcile results idempotently: the first completion of a job wins
-  and is journaled immediately; late results from presumed-dead
-  workers are acknowledged as duplicates and discarded, which is safe
-  because job execution is deterministic,
-* retry transient job failures (re-queue) up to ``max_retries``,
-  quarantining poison jobs exactly like the inline runner,
-* on completion — or on a drain triggered by SIGINT/SIGTERM — write
-  the store in grid order and journal the ``end``/``checkpoint``
-  event, so ``--resume`` behaves identically to the inline engine.
+* **Sockets** — workers speak the :mod:`repro.service.protocol`
+  framing and claim the book's dispatches.  In-worker faults of the
+  :class:`~repro.experiments.faults.FaultPlan` ride the payload;
+  network faults ship with the grant for the worker to fire.
+* **Leases** — a claim holds its job under a
+  :class:`~repro.service.leases.LeaseTable` lease, renewed by
+  heartbeats.  A lapsed lease (a dead or stalled worker) settles its
+  attempt as a ``lease_expired`` failure, which the book re-queues
+  for another worker ("work stealing") or quarantines.
+* **Reconciliation** — a late result for a settled job is a
+  duplicate, an error from a superseded attempt is stale; both are
+  acknowledged and discarded, leaving the live attempt's lease alone.
+* **Drain** — :meth:`SweepServer.shutdown` checkpoints on
+  SIGINT/SIGTERM.
 
-The final :class:`~repro.experiments.runner.CampaignResult` is
-byte-compatible with an inline run of the same spec: served records
-carry no worker identity, no attempt counts (for ok records), and no
-timing — the chaos determinism gate relies on it.
-
-Fault injection: the server consults its
-:class:`~repro.experiments.faults.FaultPlan` at grant time.  In-process
-actions ride the job payload into the worker as usual; *network*
-actions (connection drop, heartbeat stall, torn frame, duplicate
-result) are shipped alongside the grant for the worker to fire through
-the real socket path.
-
-Threading model: an acceptor thread spawns one handler thread per
-connection; a sweeper thread expires leases; one lock guards all
-campaign state.  All threads are daemonic — lifecycle is owned by
-:meth:`start` / :meth:`wait` / :meth:`shutdown` / :meth:`close`.
+Served records carry no worker identity, no ok-record attempt counts
+and no timing, so they are byte-identical to an inline run's (the
+chaos determinism gate relies on it); the metrics add ``service.*``
+to the shared ``cache.*``/``runner.*`` family.  Threads: an acceptor,
+one handler per connection and a lease sweeper, all daemonic; one
+lock guards the book and the counters.
 """
 
 from __future__ import annotations
@@ -44,16 +35,13 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from collections import deque
 from typing import Any
 
+from repro.experiments.book import DUPLICATE, STALE, CampaignResult, JobBook
 from repro.experiments.cache import ResultCache
-from repro.experiments.faults import FaultPlan, classify_error
-from repro.experiments.kinds import job_kind
-from repro.experiments.runner import CampaignResult, SpecDriftError
+from repro.experiments.faults import FaultPlan
 from repro.experiments.spec import SweepSpec, campaign_id
 from repro.experiments.store import CampaignJournal, ResultStore
-from repro.obs.metrics import merge_metrics
 from repro.service.leases import LeaseTable
 from repro.service.protocol import (
     ProtocolError,
@@ -62,40 +50,6 @@ from repro.service.protocol import (
 )
 
 __all__ = ["SweepServer"]
-
-
-def _kind_transients(kind_name: str) -> tuple[str, ...]:
-    try:
-        return job_kind(kind_name).transient_errors
-    except Exception:
-        return ()
-
-
-def _lease_failure_record(
-    payload: dict[str, Any], job_id: str, worker: str, attempt: int
-) -> dict[str, Any]:
-    """Synthetic error record for a job whose holder went dark.
-
-    Same shape as the inline supervisor's WorkerCrash records, so
-    ``repro report --failures`` and the failure report treat a dead
-    remote worker like a dead local one.
-    """
-    return {
-        "job_id": job_id,
-        "kind": payload.get("kind", "model"),
-        "model": payload.get("model", "?"),
-        "model_seed": payload.get("model_seed"),
-        "image_seed": payload.get("image_seed"),
-        "n_images": payload.get("n_images"),
-        "config": payload.get("config", {}),
-        "status": "error",
-        "result": None,
-        "error": (
-            f"LeaseExpired: worker {worker!r} stopped heartbeating "
-            f"and its lease lapsed (attempt {attempt})"
-        ),
-        "error_class": "lease_expired",
-    }
 
 
 class SweepServer:
@@ -146,29 +100,14 @@ class SweepServer:
         self.heartbeat_seconds = self.leases.heartbeat_seconds
         self.result: CampaignResult | None = None
 
-        self._jobs = spec.expand()
-        self._payloads = [job.to_dict() for job in self._jobs]
-        self._index_by_job = {
-            job.job_id: index for index, job in enumerate(self._jobs)
-        }
+        self._book: JobBook | None = None  # opened by start()
         self._lock = threading.RLock()
-        self._pending: deque[int] = deque()
-        self._cached: dict[int, dict[str, Any]] = {}
-        self._resumed: dict[int, dict[str, Any]] = {}
-        self._fresh: dict[int, dict[str, Any]] = {}
-        self._attempts: dict[str, int] = {}
-        self._quarantined: list[str] = []
         self._workers_seen: set[str] = set()
-        self._retries = 0
         self._reconnects = 0
         self._duplicates = 0
         self._protocol_errors = 0
-        self._misses = 0
-        self._draining = False
-        self._finished = False
         self._done = threading.Event()
         self._started_at = 0.0
-        self._corrupt_before = 0
         self._sock: socket.socket | None = None
         self._conns: list[socket.socket] = []
 
@@ -182,45 +121,15 @@ class SweepServer:
         derives — resuming would silently mix results otherwise.
         """
         self._started_at = time.perf_counter()
-        self._corrupt_before = (
-            self.cache.corrupt_dropped if self.cache else 0
+        self._book = JobBook(
+            self.spec,
+            cache=self.cache,
+            store=self.store,
+            journal=self.journal,
+            max_retries=self.max_retries,
+            backoff_seed=self.spec.seed,
+            fault_plan=self.fault_plan,
         )
-        journal_done: dict[str, dict[str, Any]] = {}
-        if self.journal is not None:
-            if self.journal.exists():
-                self.journal.recover()
-                entry = self.journal.start_entry() or {}
-                journaled = entry.get("campaign_id")
-                if journaled is not None and journaled != self.campaign_id:
-                    raise SpecDriftError(
-                        f"journal {self.journal.path} records campaign "
-                        f"{journaled!r} ({entry.get('campaign')!r}), but "
-                        f"this spec derives {self.campaign_id!r}; the "
-                        f"grid, seed, or name has drifted since the "
-                        f"journal was written — serve the original spec "
-                        f"or start a fresh campaign"
-                    )
-                journal_done = self.journal.completed()
-                self.journal.append({"event": "resume"})
-            else:
-                self.journal.start(
-                    self.campaign_id,
-                    self.name,
-                    self.spec.to_dict(),
-                    str(self.store.path) if self.store else None,
-                )
-        for index, job in enumerate(self._jobs):
-            record = journal_done.get(job.job_id)
-            if record is not None:
-                self._resumed[index] = record
-                continue
-            record = self.cache.get_job(job) if self.cache else None
-            if record is not None:
-                self._cached[index] = record
-            else:
-                self._pending.append(index)
-        self._misses = len(self._pending)
-
         self._sock = socket.create_server((self.host, self.port))
         self.host, self.port = self._sock.getsockname()[:2]
         threading.Thread(
@@ -244,13 +153,11 @@ class SweepServer:
         The journal already holds every completed job (they are
         appended as they land), so the checkpoint written here makes
         ``--resume`` behave exactly as after a SIGINT'd inline sweep.
-        In-flight leased jobs are counted as remaining — their late
-        results, if any, arrive after the store is written and are
-        simply discarded.
+        In-flight leased jobs are counted as remaining; an ok result
+        that still arrives is journaled, so the resume serves it.
         """
         with self._lock:
-            self._draining = True
-            if not self._finished:
+            if self.result is None:
                 self._finish(interrupted=True)
         return self.result  # type: ignore[return-value]
 
@@ -345,25 +252,16 @@ class SweepServer:
     def _reap_expired(self) -> None:
         for lease in self.leases.expire():
             with self._lock:
-                index = self._index_by_job.get(lease.job_id)
-                if index is None or index in self._fresh:
-                    continue  # completed just before expiry
-                if lease.attempt <= self.max_retries:
-                    # Back of the queue: clean jobs drain first, the
-                    # repeat offender re-runs when a worker frees up.
-                    self._pending.append(index)
-                    self._retries += 1
-                else:
-                    record = _lease_failure_record(
-                        self._payloads[index],
-                        lease.job_id,
-                        lease.worker,
-                        lease.attempt,
-                    )
-                    record["attempts"] = lease.attempt
-                    record["quarantined"] = True
-                    self._quarantined.append(lease.job_id)
-                    self._fresh[index] = record
+                book = self._book
+                book.fail(
+                    book.index_of[lease.job_id],
+                    lease.attempt,
+                    f"LeaseExpired: worker {lease.worker!r} stopped "
+                    f"heartbeating and its lease lapsed (attempt "
+                    f"{lease.attempt})",
+                    "lease_expired",
+                    time.monotonic(),
+                )
         self._maybe_finish()
 
     # -- message dispatch ------------------------------------------------
@@ -421,7 +319,7 @@ class SweepServer:
                 "type": "welcome",
                 "campaign": self.name,
                 "campaign_id": self.campaign_id,
-                "n_jobs": len(self._jobs),
+                "n_jobs": len(self._book.jobs),
                 "lease_seconds": self.lease_seconds,
                 "heartbeat_seconds": self.heartbeat_seconds,
             },
@@ -430,52 +328,33 @@ class SweepServer:
 
     def _on_claim(self, worker: str) -> dict[str, Any]:
         with self._lock:
-            if self._finished or self._draining:
-                result = self.result
-                reply: dict[str, Any] = {
+            result = self.result
+            if result is not None:
+                return {
                     "type": "drain",
                     "reason": (
-                        "complete"
-                        if result is not None and not result.interrupted
-                        else "draining"
+                        "draining" if result.interrupted else "complete"
                     ),
+                    "interrupted": result.interrupted,
+                    "records": result.records,
+                    "summary": result.summary(),
                 }
-                if result is not None:
-                    reply["interrupted"] = result.interrupted
-                    reply["records"] = result.records
-                    reply["summary"] = result.summary()
-                return reply
-            if not self._pending:
-                return {
-                    "type": "wait",
-                    "seconds": min(
-                        1.0, max(0.05, self.lease_seconds / 2.0)
-                    ),
-                }
-            index = self._pending.popleft()
-            job = self._jobs[index]
-            attempt = self._attempts.get(job.job_id, 0) + 1
-            self._attempts[job.job_id] = attempt
-        lease = self.leases.grant(job.job_id, worker, attempt)
-        payload = dict(self._payloads[index])
-        network_faults: list[dict[str, Any]] = []
-        if self.fault_plan is not None:
-            actions = self.fault_plan.actions_for(
-                job.job_id, index, attempt
-            )
-            in_process = [a for a in actions if not a.is_network]
-            network_faults = [
-                a.to_dict() for a in actions if a.is_network
-            ]
-            if in_process:
-                payload["_fault"] = [a.to_dict() for a in in_process]
+            now = time.monotonic()
+            task = self._book.next(now)
+            if task is None:
+                seconds = min(1.0, max(0.05, self.lease_seconds / 2.0))
+                ready = self._book.ready_at()
+                if ready is not None:
+                    seconds = min(seconds, max(0.05, ready - now))
+                return {"type": "wait", "seconds": seconds}
+        lease = self.leases.grant(task.job_id, worker, task.attempt)
         return {
             "type": "job",
-            "index": index,
-            "job_id": job.job_id,
-            "attempt": attempt,
-            "payload": payload,
-            "network_faults": network_faults,
+            "index": task.index,
+            "job_id": task.job_id,
+            "attempt": task.attempt,
+            "payload": task.payload,
+            "network_faults": task.network_faults,
             "lease_seconds": self.lease_seconds,
             "deadline_seconds": lease.deadline - lease.granted_at,
         }
@@ -486,7 +365,7 @@ class SweepServer:
         job_id = str(message.get("job_id", ""))
         record = message.get("record")
         with self._lock:
-            index = self._index_by_job.get(job_id)
+            index = self._book.index_of.get(job_id)
             if index is None or not isinstance(record, dict):
                 return {
                     "type": "ack",
@@ -494,176 +373,65 @@ class SweepServer:
                     "duplicate": False,
                     "reason": "unknown job or malformed record",
                 }
-            if (
-                index in self._fresh
-                or index in self._cached
-                or index in self._resumed
-            ):
+            outcome = self._book.settle(
+                index, message.get("attempt"), record, time.monotonic()
+            )
+            if outcome == DUPLICATE:
                 # Late result from a presumed-dead worker for a job
                 # someone else already finished: idempotent discard.
                 self._duplicates += 1
                 if self.leases.holder(job_id) == worker:
                     self.leases.release(job_id)
+                return {"type": "ack", "accepted": True, "duplicate": True}
+            if outcome == STALE:
+                # An error from an attempt the lease table already
+                # gave up on: the live attempt keeps its lease.
                 return {
                     "type": "ack",
                     "accepted": True,
-                    "duplicate": True,
+                    "duplicate": False,
+                    "stale": True,
                 }
-            # First completion wins, even if the lease expired and the
-            # job is pending (or re-leased) elsewhere: execution is
-            # deterministic, so any re-run would produce this record.
             self.leases.release(job_id)
-            try:
-                self._pending.remove(index)
-            except ValueError:
-                pass
-            if record.get("status") == "ok":
-                if self.journal is not None:
-                    self.journal.record_job(
-                        {
-                            **record,
-                            "cached": False,
-                            "campaign": self.name,
-                        }
-                    )
-                if self.cache is not None:
-                    self.cache.put_job(self._jobs[index], record)
-                self._fresh[index] = record
-            else:
-                attempts = self._attempts.get(job_id, 1)
-                error_class = record.get("error_class") or classify_error(
-                    record.get("error"),
-                    _kind_transients(record.get("kind", "model")),
-                )
-                if (
-                    error_class != "permanent"
-                    and attempts <= self.max_retries
-                ):
-                    self._retries += 1
-                    self._pending.append(index)
-                else:
-                    final = dict(record)
-                    final["error_class"] = error_class
-                    final["attempts"] = attempts
-                    final["quarantined"] = error_class != "permanent"
-                    if final["quarantined"]:
-                        self._quarantined.append(job_id)
-                    self._fresh[index] = final
         self._maybe_finish()
         return {"type": "ack", "accepted": True, "duplicate": False}
 
     def _on_status(self) -> dict[str, Any]:
         with self._lock:
+            book = self._book
             return {
                 "type": "status",
                 "campaign": self.name,
                 "campaign_id": self.campaign_id,
-                "total": len(self._jobs),
-                "done": len(self._fresh)
-                + len(self._cached)
-                + len(self._resumed),
-                "pending": len(self._pending),
+                "total": len(book.jobs),
+                "done": len(book.records),
+                "pending": book.pending,
                 "leased": len(self.leases),
                 "workers": sorted(self._workers_seen),
-                "finished": self._finished,
+                "finished": self.result is not None,
             }
 
     # -- completion ------------------------------------------------------
 
     def _maybe_finish(self) -> None:
         with self._lock:
-            if self._finished:
-                return
-            settled = (
-                len(self._fresh) + len(self._cached) + len(self._resumed)
-            )
-            if settled == len(self._jobs):
+            if self.result is None and self._book.finished:
                 self._finish(interrupted=False)
 
     def _finish(self, interrupted: bool) -> None:
         """Assemble the CampaignResult and persist; called under lock."""
-        self._finished = True
-        out = CampaignResult(
-            name=self.name,
-            hits=len(self._cached),
-            misses=self._misses,
-            workers=max(1, len(self._workers_seen)),
-            resumed=len(self._resumed),
-            retries=self._retries,
+        workers = len(self._workers_seen)
+        self.result = self._book.result(
+            workers=max(1, workers),
+            elapsed_seconds=time.perf_counter() - self._started_at,
             interrupted=interrupted,
-            quarantined=list(self._quarantined),
-        )
-        by_index: dict[int, dict[str, Any]] = dict(self._cached)
-        by_index.update(self._fresh)
-        by_index.update(self._resumed)
-        for index in range(len(self._jobs)):
-            if index not in by_index:
-                out.remaining.append(self._jobs[index].job_id)
-                continue
-            record = dict(by_index[index])
-            record["cached"] = index in self._cached
-            record["campaign"] = self.name
-            if index in self._resumed:
-                record["resumed"] = True
-            if record.get("status") == "error" and index in self._fresh:
-                out.errors += 1
-                out.failures.append(
-                    {
-                        "job_id": record.get("job_id"),
-                        "kind": record.get("kind", "model"),
-                        "label": self._jobs[index].label(),
-                        "error": record.get("error"),
-                        "error_class": record.get(
-                            "error_class", "permanent"
-                        ),
-                        "attempts": record.get("attempts", 1),
-                        "quarantined": record.get("quarantined", False),
-                    }
-                )
-            out.records.append(record)
-        out.elapsed_seconds = time.perf_counter() - self._started_at
-        out.metrics = self._aggregate_metrics(out)
-        if self.store is not None:
-            self.store.extend(out.records)
-        if self.journal is not None:
-            event = "checkpoint" if interrupted else "end"
-            self.journal.append(
-                {"event": event, "report": out.failure_report()}
-            )
-        self.result = out
-        self._done.set()
-
-    def _aggregate_metrics(self, out: CampaignResult) -> dict[str, Any]:
-        """Record metrics + runner-compatible counters + service.*."""
-        metrics: dict[str, Any] = {}
-        for record in out.records:
-            result = record.get("result") or {}
-            snapshot = result.get("metrics")
-            if snapshot:
-                merge_metrics(metrics, snapshot)
-        corrupt = (
-            self.cache.corrupt_dropped - self._corrupt_before
-            if self.cache
-            else 0
-        )
-        merge_metrics(
-            metrics,
-            {
-                "cache.hits": out.hits,
-                "cache.misses": out.misses,
-                "cache.errors": out.errors,
-                "cache.corrupt_entries": corrupt,
-                "runner.jobs": out.n_jobs,
-                "runner.workers.peak": len(self._workers_seen),
-                "runner.resumed": out.resumed,
-                "runner.retries": out.retries,
-                "runner.quarantined": len(out.quarantined),
+            extras={
                 **self.leases.counters(),
                 "service.heartbeats": self.leases.renewed,
                 "service.reconnects": self._reconnects,
                 "service.results.duplicate": self._duplicates,
                 "service.protocol.errors": self._protocol_errors,
-                "service.workers.peak": len(self._workers_seen),
+                "service.workers.peak": workers,
             },
         )
-        return metrics
+        self._done.set()

@@ -167,6 +167,32 @@ class TestServedCampaign:
         assert list((cache_root / "claims").glob("*.claim")) == []
 
 
+    def test_served_and_inline_publish_one_metrics_family(self):
+        from repro.experiments.runner import CampaignRunner
+
+        def family(metrics):
+            return {
+                name
+                for name in metrics
+                if name.startswith(("runner.", "cache."))
+            }
+
+        spec = tiny_spec()
+        inline = CampaignRunner(workers=1).run(spec)
+        server = serve(spec)
+        try:
+            attach_workers(server, 1)
+            served = server.wait(timeout=60.0)
+        finally:
+            server.close()
+        assert served is not None
+        assert family(served.metrics) == family(inline.metrics)
+        assert {"runner.timeouts", "runner.worker_crashes"} <= family(
+            served.metrics
+        )
+        assert "service.leases.granted" in served.metrics
+
+
 class TestHandshake:
     def test_campaign_mismatch_rejected(self):
         server = serve(tiny_spec())
@@ -383,6 +409,80 @@ class TestLeaseRecovery:
         assert result.metrics["service.jobs.stolen"] == 1
         assert result.metrics["service.heartbeats.missed"] >= 1
         assert result.retries >= 1
+
+    def test_stale_attempt_error_does_not_settle_the_live_attempt(self):
+        """w1's lease lapses, w2 claims attempt 2, then w1 reports a
+        transient error for attempt 1: the live attempt must run on."""
+        server = serve(tiny_spec(), lease_seconds=0.3, max_retries=1)
+        try:
+            w1 = connect(server.host, server.port)
+            w1.request({"type": "hello", "worker": "w1"})
+            grant1 = w1.request({"type": "claim", "worker": "w1"})
+            assert (grant1["type"], grant1["attempt"]) == ("job", 1)
+
+            w2 = connect(server.host, server.port)
+            w2.request({"type": "hello", "worker": "w2"})
+            grant2 = None
+
+            def try_steal():
+                nonlocal grant2
+                reply = w2.request({"type": "claim", "worker": "w2"})
+                grant2 = reply if reply["type"] == "job" else None
+                return grant2 is not None
+
+            assert wait_for(try_steal, timeout=10.0, interval=0.05)
+            assert grant2["attempt"] == 2
+
+            error = execute_job(
+                {**grant1["payload"],
+                 "_fault": [FaultAction("transient").to_dict()]}
+            )
+            assert error["error"].startswith("TransientFaultError")
+            stale = w1.request(
+                {
+                    "type": "result",
+                    "worker": "w1",
+                    "job_id": grant1["job_id"],
+                    "attempt": 1,
+                    "record": error,
+                }
+            )
+            assert stale["stale"] is True
+            assert stale["duplicate"] is False
+            status = w1.request({"type": "status"})
+            assert (status["done"], status["finished"]) == (0, False)
+
+            beat = w2.request(
+                {
+                    "type": "heartbeat",
+                    "worker": "w2",
+                    "job_id": grant2["job_id"],
+                }
+            )
+            assert beat == {"type": "ack", "renewed": True}
+            ack = w2.request(
+                {
+                    "type": "result",
+                    "worker": "w2",
+                    "job_id": grant2["job_id"],
+                    "attempt": 2,
+                    "record": ok_record(server),
+                }
+            )
+            assert ack == {
+                "type": "ack",
+                "accepted": True,
+                "duplicate": False,
+            }
+            w1.close()
+            w2.close()
+            result = server.wait(timeout=5.0)
+        finally:
+            server.close()
+        assert result is not None
+        assert result.errors == 0
+        assert not result.quarantined
+        assert result.records[0]["status"] == "ok"
 
     def test_heartbeats_keep_a_slow_job_alive(self):
         server = serve(tiny_spec(), lease_seconds=0.4)

@@ -341,44 +341,6 @@ class TestRoundTripProperties:
         trace.save(path)
         assert TrafficTrace.load(path) == trace
 
-    def test_keyword_only_collector_receives_vc_and_flit(self):
-        """record(link, bits, cycle, *, vc=0, flit=None) is a valid
-        spelling of the 5-arg protocol — vc/flit must not be dropped."""
-
-        class KwCollector:
-            def __init__(self):
-                self.vcs = []
-                self.pids = []
-
-            def record(self, link_name, bits, cycle, *, vc=0, flit=None):
-                self.vcs.append(vc)
-                self.pids.append(None if flit is None else flit.packet_id)
-
-        net = Network(NoCConfig(width=2, height=2, link_width=16))
-        net.trace_collector = KwCollector()
-        net.send_packet(make_packet(0, 3, [7, 9], 16))
-        net.run_until_drained()
-        assert net.trace_collector.pids
-        assert all(pid is not None for pid in net.trace_collector.pids)
-
-    def test_legacy_three_arg_collector_still_works(self):
-        """The pre-PR hook protocol — record(link, bits, cycle) — must
-        not crash mid-simulation."""
-
-        class LegacyCollector:
-            def __init__(self):
-                self.calls = []
-
-            def record(self, link_name, bits, cycle):
-                self.calls.append((link_name, bits, cycle))
-
-        net = Network(NoCConfig(width=2, height=2, link_width=16))
-        net.trace_collector = LegacyCollector()
-        net.send_packet(make_packet(0, 3, [7, 9], 16))
-        net.run_until_drained()
-        assert net.trace_collector.calls
-        assert net.stats.packets_delivered == 1
-
     def test_gzip_sniffed_regardless_of_name(self, tmp_path):
         _, trace = recorded_network()
         path = tmp_path / "renamed.bin"
