@@ -10,8 +10,9 @@ Subcommands::
     repro traffic    — synthetic traffic patterns through the NoC
                        (--trace records a replayable wire-image trace)
     repro sweep      — run a declarative campaign grid (cached, parallel;
-                       --kind model|batch|synthetic|replay picks the
-                       workload, --cores adds a network-core axis;
+                       --kind model|batch|synthetic|replay|serving picks
+                       the workload and each kind declares the grid
+                       flags it takes, --cores adds a network-core axis;
                        --job-timeout/--max-retries harden execution,
                        Ctrl-C checkpoints the campaign journal and
                        --resume <campaign-id> picks it back up;
@@ -66,7 +67,7 @@ from repro.dnn.datasets import synthetic_digits, synthetic_shapes
 from repro.dnn.models import build_model
 from repro.experiments.cache import ResultCache
 from repro.experiments.faults import FaultPlan
-from repro.experiments.kinds import JOB_KINDS
+from repro.experiments.kinds import JOB_KINDS, GridFlag, job_kind
 from repro.experiments.report import (
     REPORT_PIVOTS,
     campaign_report,
@@ -187,68 +188,18 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--spec", default=None,
                       help="JSON SweepSpec file (overrides grid flags; "
                            "--seed still overrides its campaign seed)")
-    # Kind-specific grid flags default to None so an explicitly-given
-    # flag that doesn't apply to the chosen --kind can be rejected
-    # instead of silently ignored (_check_kind_flags below).
-    grid.add_argument("--model", default=None,
-                       choices=("lenet", "darknet", "trained-lenet"),
-                       help="[model/batch] workload model "
-                            "(default lenet)")
-    grid.add_argument("--meshes", default=None,
-                       help="comma list of WxH:MCS mesh points "
-                            "(default 4x4:2,8x8:4,8x8:8; synthetic "
-                            "ignores the MCS part, default 4x4,8x8)")
-    grid.add_argument("--formats", default=None,
-                       help="[model/batch] comma list of data formats "
-                            "(default fixed8)")
-    grid.add_argument("--orderings", default=None,
-                       help="[model/batch] comma list of ordering "
-                            "methods (default O0,O1,O2)")
-    grid.add_argument("--tasks", type=int, default=None,
-                       help="[model/batch/serving] sampled tasks per "
-                            "layer (default 16; serving default 4)")
-    grid.add_argument("--images", type=int, default=None,
-                       help="[batch] images per job (default 4)")
-    grid.add_argument("--patterns", default=None,
-                       help="[synthetic] comma list of traffic patterns "
-                            "(default all four)")
-    grid.add_argument("--payloads", default=None,
-                       help="[synthetic] comma list of payload kinds "
-                            "(random, zero, counter; default random)")
-    grid.add_argument("--packets", type=int, default=None,
-                       help="[synthetic] packets injected per job "
-                            "(default 150); [serving] packets per "
-                            "synthetic request (default 8)")
-    grid.add_argument("--window", type=int, default=None,
-                       help="[synthetic] injection window in cycles "
-                            "(default 200)")
-    grid.add_argument("--link-width", type=int, default=None,
-                       help="[synthetic/serving] link width in bits "
-                            "(default 128 / the fleet data format's "
-                            "paper width)")
-    grid.add_argument("--tenants", default=None,
-                       help="[serving] comma list of tenant mixes in "
-                            "the compact grammar, e.g. "
-                            "'lenet+uniform@0.05,lenet+lenet' "
-                            "(default lenet+uniform)")
-    grid.add_argument("--rates", default=None,
-                       help="[serving] comma list of background "
-                            "arrival rates in requests/cycle for "
-                            "synthetic tenants without an explicit "
-                            "@rate (default 0.01)")
-    grid.add_argument("--requests", type=int, default=None,
-                       help="[serving] requests per tenant "
-                            "(default 2)")
-    grid.add_argument("--traces", default=None,
-                       help="[replay] comma list of recorded trace "
-                            "files (the 'trace' axis)")
-    grid.add_argument("--codings", default=None,
-                       help="[replay] comma list of link codings "
-                            "(none, bus_invert, delta; default none)")
-    grid.add_argument("--cores", default=None,
-                       help="network-core axis: comma list of cores "
-                            "(event, stepped; replay also takes "
-                            "offline and the differential 'both')")
+    # Each job kind declares the grid flags it takes (its grid_flags).
+    # They default to None so a given flag the chosen --kind does not
+    # take is rejected instead of silently ignored.  Choices are
+    # checked as typed; the declared type converts the text when the
+    # spec is built.
+    for name, declared in _grid_flags().items():
+        flag = declared[0][1]
+        grid.add_argument(
+            f"--{name.replace('_', '-')}", default=None,
+            type=None if flag.is_list or flag.choices else flag.type,
+            choices=flag.choices, help=_grid_help(declared),
+        )
     # Campaign persistence/hardening flags shared by `sweep`/`serve`.
     campaign = argparse.ArgumentParser(add_help=False)
     campaign.add_argument("--max-retries", type=int, default=2,
@@ -633,49 +584,36 @@ def _split_csv(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-# Sweep grid flags that only make sense for some job kinds.  --cores
-# applies everywhere: the network core is a config field of every kind
-# (--orderings is shared too: O0/O1/O2 for the accelerator and serving
-# kinds, none/popcount_desc for replay).
-_KIND_FLAGS = {
-    "model": ("model", "formats", "orderings", "tasks", "cores"),
-    "batch": ("model", "formats", "orderings", "tasks", "images",
-              "cores"),
-    "synthetic": ("patterns", "payloads", "packets", "window",
-                  "link_width", "cores"),
-    "replay": ("traces", "orderings", "codings", "cores"),
-    "serving": ("tenants", "rates", "requests", "orderings", "packets",
-                "tasks", "link_width", "cores"),
-}
+def _grid_flags() -> dict[str, list[tuple[str, GridFlag]]]:
+    """Every registered kind's grid flags: option -> [(kind, flag)]."""
+    declared: dict[str, list[tuple[str, GridFlag]]] = {}
+    for kind in JOB_KINDS.values():
+        for flag in kind.grid_flags:
+            declared.setdefault(flag.flag, []).append((kind.name, flag))
+    return declared
 
 
-def _check_kind_flags(args: argparse.Namespace, kind: str) -> None:
-    """Reject explicitly-given flags the chosen kind would ignore."""
-    applicable = _KIND_FLAGS[kind]
-    for flags in _KIND_FLAGS.values():
-        for flag in flags:
-            if flag in applicable:
-                continue
-            if getattr(args, flag) is not None:
-                raise SystemExit(
-                    f"--{flag.replace('_', '-')} does not apply to "
-                    f"--kind {kind}"
-                )
+def _grid_help(declared: list[tuple[str, GridFlag]]) -> str:
+    """One grid flag's help: what it sets per kind, with each default."""
+    meanings: dict[tuple[str, str | None], list[str]] = {}
+    for kind, flag in declared:
+        meanings.setdefault((flag.help, flag.default), []).append(kind)
+    return "; ".join(
+        f"[{'/'.join(kinds)}] {text}"
+        + ("" if default is None else f" (default {default})")
+        for (text, default), kinds in meanings.items()
+    )
 
 
 def _sweep_spec_from_args(args: argparse.Namespace) -> SweepSpec:
+    declared = _grid_flags()
     if args.spec:
         # The spec file is the whole grid: explicitly-given grid flags
         # would be silently ignored, so reject them instead.
         ignored = ["kind"] if args.kind is not None else []
         ignored += [
-            flag
-            for flags in _KIND_FLAGS.values()
-            for flag in flags
-            if getattr(args, flag) is not None
+            name for name in declared if getattr(args, name) is not None
         ]
-        if args.meshes is not None:
-            ignored.append("meshes")
         if ignored:
             raise SystemExit(
                 f"--{ignored[0].replace('_', '-')} is ignored with "
@@ -696,130 +634,51 @@ def _sweep_spec_from_args(args: argparse.Namespace) -> SweepSpec:
             # explicit model_seed/image_seed fields stay authoritative.
             spec = dataclasses.replace(spec, seed=args.seed)
         return spec
+    kind = job_kind(args.kind or SweepSpec.kind)
+    taken = {flag.flag for flag in kind.grid_flags}
+    for name in declared:
+        if name not in taken and getattr(args, name) is not None:
+            raise SystemExit(
+                f"--{name.replace('_', '-')} does not apply to "
+                f"--kind {kind.name}"
+            )
+    fields: dict = {}  # SweepSpec fields beyond name/kind/base/axes/seed
+    base: dict = {}
+    axes: dict = {}
+    for flag in kind.grid_flags:
+        option = f"--{flag.flag.replace('_', '-')}"
+        given = getattr(args, flag.flag)
+        if flag.is_list:
+            # A list that names nothing falls back to the default.
+            texts = _split_csv(given or "") or _split_csv(flag.default or "")
+        else:
+            text = given if given is not None else flag.default
+            texts = [] if text is None else [text]
+        if not texts:
+            if flag.required:
+                raise SystemExit(
+                    f"--kind {kind.name} needs {option} ({flag.help})"
+                )
+            continue
+        try:
+            values = [flag.type(text) for text in texts]
+        except ValueError as exc:
+            raise SystemExit(f"bad {option} value: {exc}") from exc
+        if flag.lands == "spec":
+            fields[flag.key] = values[0]
+        elif flag.lands == "base" or (
+            flag.lands == "base_or_axis" and len(values) == 1
+        ):
+            base[flag.key] = values[0]
+        else:
+            axes[flag.key] = values
     # As with the other subcommands: omitting --seed keeps the
     # historical defaults, giving it derives every workload seed.
-    kind = args.kind or "model"
-    _check_kind_flags(args, kind)
-    seed = args.seed if args.seed is not None else 0
-    meshes = _split_csv(args.meshes) if args.meshes else None
-    cores = _split_csv(args.cores) if args.cores else None
-    if kind == "replay":
-        if not args.traces:
-            raise SystemExit(
-                "--kind replay needs --traces (comma list of trace "
-                "files recorded with --trace or TraceRecorder)"
-            )
-        if meshes is not None:
-            raise SystemExit(
-                "--meshes does not apply to --kind replay "
-                "(the trace pins the topology)"
-            )
-        axes = {
-            "trace": _split_csv(args.traces),
-            "ordering": _split_csv(
-                args.orderings or "none,popcount_desc"
-            ),
-            "core": cores or ["offline"],
-        }
-        base: dict = {}
-        codings = _split_csv(args.codings or "none")
-        # Link codings re-apply offline only: a cartesian grid crossing
-        # a non-none coding with a network core would abort the whole
-        # sweep at expansion — reject the combination up front instead.
-        if any(c != "none" for c in codings) and any(
-            c != "offline" for c in axes["core"]
-        ):
-            raise SystemExit(
-                "--codings other than 'none' re-apply offline only; "
-                "run the network-core sweep (--cores) and the coding "
-                "sweep separately"
-            )
-        if len(codings) == 1:
-            base["coding"] = codings[0]
-        else:
-            axes["coding"] = codings
-        return SweepSpec(
-            name=args.name, kind="replay", base=base, axes=axes,
-            seed=seed,
-        )
-    if kind == "serving":
-        axes = {
-            "mesh": meshes or ["4x4:2"],
-            "tenants": _split_csv(args.tenants or "lenet+uniform"),
-            "ordering": _split_csv(args.orderings or "O0,O1,O2"),
-        }
-        if cores:
-            axes["core"] = cores
-        base: dict = {}
-        try:
-            rates = [float(r) for r in _split_csv(args.rates or "0.01")]
-        except ValueError as exc:
-            raise SystemExit(f"bad --rates value: {exc}") from exc
-        if len(rates) == 1:
-            base["background_rate"] = rates[0]
-        else:
-            axes["background_rate"] = rates
-        if args.requests is not None:
-            base["n_requests"] = args.requests
-        if args.packets is not None:
-            base["packets_per_request"] = args.packets
-        if args.tasks is not None:
-            base["max_tasks_per_layer"] = args.tasks
-        if args.link_width is not None:
-            base["link_width"] = args.link_width
-        return SweepSpec(
-            name=args.name, kind="serving", base=base, axes=axes,
-            seed=seed,
-        )
-    if kind == "synthetic":
-        axes = {
-            "mesh": meshes or ["4x4", "8x8"],
-            "pattern": _split_csv(
-                args.patterns or "uniform,transpose,complement,hotspot"
-            ),
-        }
-        if cores:
-            axes["core"] = cores
-        base = {
-            "n_packets": args.packets if args.packets is not None else 150,
-            "injection_window": args.window if args.window is not None
-            else 200,
-            "link_width": args.link_width if args.link_width is not None
-            else 128,
-        }
-        payloads = _split_csv(args.payloads or "random")
-        if len(payloads) == 1:
-            base["payload"] = payloads[0]
-        else:
-            axes["payload"] = payloads
-        return SweepSpec(
-            name=args.name, kind="synthetic", base=base, axes=axes,
-            seed=seed,
-        )
-    axes = {
-        "mesh": meshes or ["4x4:2", "8x8:4", "8x8:8"],
-        "data_format": _split_csv(args.formats or "fixed8"),
-        "ordering": _split_csv(args.orderings or "O0,O1,O2"),
-    }
-    if cores:
-        axes["core"] = cores
-    return SweepSpec(
-        name=args.name,
-        kind=kind,
-        model=(args.model or "lenet").replace("-", "_"),
-        base={
-            "max_tasks_per_layer": args.tasks
-            if args.tasks is not None else 16,
-        },
-        axes=axes,
-        seed=seed,
-        model_seed=_seed_or(args, "model", 1),
-        image_seed=_seed_or(args, "image", 5),
-        # n_images is a batch-only field; model sweeps keep the
-        # JobSpec default so the spec doesn't record a dropped value.
-        n_images=(args.images if args.images is not None else 4)
-        if kind == "batch" else 1,
-    )
+    if args.seed is not None and kind.uses_model:
+        fields["model_seed"] = derive_seed(args.seed, "model")
+        fields["image_seed"] = derive_seed(args.seed, "image")
+    return SweepSpec(name=args.name, kind=kind.name, base=base, axes=axes,
+                     seed=args.seed or 0, **fields)
 
 
 def _telemetry_line(sample: dict) -> str:

@@ -301,7 +301,7 @@ class JobBook:
         # settled meanwhile is dropped when it surfaces.
         self._queue: list[tuple[float, int, int]] = []
         self._seq = 0
-        self._corrupt_before = cache.corrupt_dropped if cache else 0
+        self._corrupt_before = 0 if cache is None else cache.corrupt_dropped
 
         journaled = self._open_journal(spec)
         for index, job in enumerate(self.jobs):
@@ -309,7 +309,7 @@ class JobBook:
             if record is not None:
                 self.resumed.add(index)
             else:
-                record = cache.get_job(job) if cache else None
+                record = None if cache is None else cache.get_job(job)
                 if record is None:
                     self._enqueue(index, float("-inf"))
                     continue
@@ -329,7 +329,7 @@ class JobBook:
                 campaign_id(spec) if spec is not None else self.name,
                 self.name,
                 spec.to_dict() if spec is not None else None,
-                str(self.store.path) if self.store else None,
+                None if self.store is None else str(self.store.path),
             )
             return {}
         journal.recover()
@@ -564,7 +564,7 @@ class JobBook:
                 "cache.errors": out.errors,
                 "cache.corrupt_entries": (
                     self.cache.corrupt_dropped - self._corrupt_before
-                    if self.cache
+                    if self.cache is not None
                     else 0
                 ),
                 "runner.jobs": out.n_jobs,

@@ -123,39 +123,47 @@ class ResultCache:
         except OSError:
             path.unlink(missing_ok=True)
 
+    def _read(self, path: pathlib.Path) -> tuple[str, dict[str, Any] | None]:
+        """One entry's status and record: ("ok", record) for a verified
+        envelope, ("legacy", record) for a pre-envelope entry, or
+        ("corrupt", None).  Raises OSError when the file cannot be read.
+        """
+        try:
+            # json.loads on bytes: invalid UTF-8 raises a ValueError
+            # subclass too, so binary garbage counts as corrupt.
+            doc = json.loads(path.read_bytes())
+        except ValueError:
+            return "corrupt", None
+        if not isinstance(doc, dict):
+            return "corrupt", None
+        if "sha256" in doc and "record" in doc:
+            record = doc["record"]
+            if not isinstance(record, dict) or self._record_digest(
+                record
+            ) != doc["sha256"]:
+                return "corrupt", None
+            return "ok", record
+        return "legacy", doc
+
     def get(self, key: str) -> dict[str, Any] | None:
         """The cached record, or None on miss / corrupted entry.
 
         Verify-on-read: the envelope's digest is recomputed over the
         record body every time, so corruption that keeps the JSON
         parseable still quarantines instead of serving wrong results.
-        Pre-envelope (legacy) entries are accepted as-is.
+        Pre-envelope (legacy) entries are accepted as-is; an unreadable
+        file is a miss.
         """
         path = self._path(key)
         try:
-            raw = path.read_bytes()
-        except (FileNotFoundError, OSError):
+            status, record = self._read(path)
+        except OSError:
             return None
-        try:
-            # json.loads on bytes: invalid UTF-8 raises a ValueError
-            # subclass too, so binary garbage lands in quarantine.
-            doc = json.loads(raw)
-            if not isinstance(doc, dict):
-                raise ValueError("cache entry is not an object")
-        except ValueError:
-            # Unparseable entry (truncated write, disk fault, manual
-            # edit): quarantine so the point re-simulates cleanly.
+        if status == "corrupt":
+            # Truncated write, disk fault, manual edit: quarantine so
+            # the point re-simulates cleanly.
             self._quarantine(path)
-            return None
-        if "sha256" in doc and "record" in doc:
-            record = doc["record"]
-            if not isinstance(record, dict) or self._record_digest(
-                record
-            ) != doc["sha256"]:
-                self._quarantine(path)
-                return None
-            return record
-        return doc
+        return record
 
     def get_job(self, job: JobSpec) -> dict[str, Any] | None:
         return self.get(self.key_for(job))
@@ -231,23 +239,6 @@ class ResultCache:
 
     # -- integrity sweep -------------------------------------------------
 
-    def _entry_status(self, path: pathlib.Path) -> str:
-        """"ok", "legacy" (pre-envelope), or "corrupt" for one entry."""
-        try:
-            doc = json.loads(path.read_bytes())
-            if not isinstance(doc, dict):
-                raise ValueError("cache entry is not an object")
-        except (ValueError, OSError):
-            return "corrupt"
-        if "sha256" in doc and "record" in doc:
-            record = doc["record"]
-            if not isinstance(record, dict) or self._record_digest(
-                record
-            ) != doc["sha256"]:
-                return "corrupt"
-            return "ok"
-        return "legacy"
-
     def verify(self, quarantine: bool = True) -> dict[str, Any]:
         """Re-check every entry's digest envelope; returns a report.
 
@@ -267,7 +258,10 @@ class ResultCache:
         }
         for path in sorted(self.root.glob("*/*.json")):
             report["checked"] += 1
-            status = self._entry_status(path)
+            try:
+                status, _ = self._read(path)
+            except OSError:
+                status = "corrupt"
             if status == "corrupt":
                 report["corrupt"].append(
                     str(path.relative_to(self.root))

@@ -5,10 +5,12 @@ per workload family.  A handler owns everything kind-specific:
 
 * the config schema (building it from an expanded sweep point,
   serialising it into the canonical cache-key / JSONL form),
+* the ``repro sweep``/``repro serve`` grid flags it takes
+  (:class:`GridFlag`), from which the CLI builds its ``SweepSpec``,
 * execution (what simulator entry point a job drives),
 * presentation (job labels, progress-line summaries).
 
-Three kinds ship built in:
+Five kinds ship built in:
 
 * ``"model"`` — single-image DNN inference via
   :func:`repro.accelerator.simulator.run_model_on_noc` (the paper's
@@ -45,9 +47,9 @@ from __future__ import annotations
 
 import os
 import pathlib
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -82,6 +84,7 @@ __all__ = [
     "JOB_KINDS",
     "REPLAY_CORES",
     "REPLAY_CODINGS",
+    "GridFlag",
     "JobKind",
     "SyntheticJobConfig",
     "ReplayJobConfig",
@@ -114,10 +117,39 @@ def parse_mesh_axis(text: str) -> dict[str, int]:
         ) from exc
 
 
-def _spec_default(obj: Any, name: str) -> Any:
-    """The dataclass default of one of ``obj``'s fields."""
-    (field_,) = [f for f in fields(type(obj)) if f.name == name]
-    return field_.default
+def _parts_from_dict(cls: type, data: dict[str, Any], **parts: type) -> Any:
+    """Rebuild a config made of dataclass ``parts`` from its dict form."""
+    unknown = set(data) - set(parts)
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+    return cls(
+        **{name: part.from_dict(data[name]) for name, part in parts.items()}
+    )
+
+
+def _split_flat(
+    kwargs: dict[str, Any], kind: str, part: str, part_type: type
+) -> tuple[dict[str, Any], dict[str, Any]]:
+    """Split a flat sweep-point mapping into ``part_type`` and NoC fields.
+
+    Sweep axes address both dataclasses' fields by their plain names
+    (the two field sets are disjoint); anything else is rejected with
+    the full vocabulary so grid mistakes fail at expansion time, not
+    inside a worker.
+    """
+    part_fields = {f.name for f in fields(part_type)}
+    noc_fields = {f.name for f in fields(NoCConfig)}
+    unknown = sorted(set(kwargs) - part_fields - noc_fields)
+    if unknown:
+        raise ValueError(
+            f"unknown {kind} config fields {unknown}; "
+            f"{part} fields: {sorted(part_fields)}, "
+            f"noc fields: {sorted(noc_fields)}"
+        )
+    return (
+        {k: v for k, v in kwargs.items() if k in part_fields},
+        {k: v for k, v in kwargs.items() if k in noc_fields},
+    )
 
 
 def _build_model_images(
@@ -164,43 +196,16 @@ class SyntheticJobConfig:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "SyntheticJobConfig":
-        unknown = set(data) - {"traffic", "noc"}
-        if unknown:
-            raise ValueError(
-                f"unknown SyntheticJobConfig keys: {sorted(unknown)}"
-            )
-        return cls(
-            traffic=SyntheticTrafficConfig.from_dict(data["traffic"]),
-            noc=NoCConfig.from_dict(data["noc"]),
+        return _parts_from_dict(
+            cls, data, traffic=SyntheticTrafficConfig, noc=NoCConfig
         )
 
     @classmethod
     def from_flat(cls, kwargs: dict[str, Any]) -> "SyntheticJobConfig":
-        """Build from a flat sweep-point mapping.
-
-        Sweep axes address traffic and NoC fields by their plain names
-        (the two field sets are disjoint); anything else is rejected
-        with the full vocabulary so grid mistakes fail at expansion
-        time, not inside a worker.
-        """
-        traffic_fields = {f.name for f in fields(SyntheticTrafficConfig)}
-        noc_fields = {f.name for f in fields(NoCConfig)}
-        traffic_kw: dict[str, Any] = {}
-        noc_kw: dict[str, Any] = {}
-        unknown: list[str] = []
-        for key, value in kwargs.items():
-            if key in traffic_fields:
-                traffic_kw[key] = value
-            elif key in noc_fields:
-                noc_kw[key] = value
-            else:
-                unknown.append(key)
-        if unknown:
-            raise ValueError(
-                f"unknown synthetic config fields {sorted(unknown)}; "
-                f"traffic fields: {sorted(traffic_fields)}, "
-                f"noc fields: {sorted(noc_fields)}"
-            )
+        """Build from a flat sweep-point mapping (see :func:`_split_flat`)."""
+        traffic_kw, noc_kw = _split_flat(
+            kwargs, "synthetic", "traffic", SyntheticTrafficConfig
+        )
         if "pattern" in traffic_kw and not isinstance(
             traffic_kw["pattern"], TrafficPattern
         ):
@@ -296,22 +301,11 @@ class ReplayJobConfig:
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-compatible dict; exact inverse of :meth:`from_dict`."""
-        return {
-            "trace": self.trace,
-            "trace_sha256": self.trace_sha256,
-            "ordering": self.ordering,
-            "coding": self.coding,
-            "core": self.core,
-            "link_latency": self.link_latency,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ReplayJobConfig":
-        known = {
-            "trace", "trace_sha256", "ordering", "coding", "core",
-            "link_latency",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(
                 f"unknown ReplayJobConfig keys: {sorted(unknown)}"
@@ -329,27 +323,68 @@ class ReplayJobConfig:
         config = cls.from_dict(kwargs)
         if not config.trace_sha256:
             try:
-                stat = os.stat(config.trace)
-                digest = _trace_digest_cached(
-                    config.trace, stat.st_mtime_ns, stat.st_size
-                )
+                digest = _trace_file_digest(config.trace)
             except OSError as exc:
                 raise ValueError(
                     f"cannot read trace file {config.trace!r}: {exc}"
                 ) from exc
-            config = ReplayJobConfig(
-                **{**config.to_dict(), "trace_sha256": digest}
-            )
+            config = replace(config, trace_sha256=digest)
         return config
 
 
+def _trace_file_digest(path: str) -> str:
+    """A trace file's digest, memoised per (path, mtime, size): a wide
+    grid over one trace hashes the file once, not once per expanded
+    point.  Executors still re-hash at run time, so a swap between
+    expansion and execution is always caught.  Raises OSError."""
+    stat = os.stat(path)
+    return _trace_digest_memo(path, stat.st_mtime_ns, stat.st_size)
+
+
 @lru_cache(maxsize=256)
-def _trace_digest_cached(path: str, mtime_ns: int, size: int) -> str:
-    """Stat-keyed digest memo: a wide grid over one trace hashes the
-    file once per (path, mtime, size), not once per expanded point.
-    Executors still re-hash at run time, so a swap between expansion
-    and execution is always caught."""
+def _trace_digest_memo(path: str, mtime_ns: int, size: int) -> str:
     return trace_digest(path)
+
+
+@dataclass(frozen=True)
+class GridFlag:
+    """One ``repro sweep``/``repro serve`` grid flag as a kind takes it.
+
+    Attributes:
+        flag: option name without dashes ("link_width": --link-width).
+        key: the axis, ``base`` key or ``SweepSpec`` field it sets.
+        default: the value used when the flag is omitted, as the user
+            would type it; None leaves ``key`` out of the spec.
+        help: what the flag sets for this kind.
+        type: converts one typed value.
+        lands: "axis", "base", "base_or_axis" (``base`` for one value,
+            an axis for several) or "spec" (a ``SweepSpec`` field).
+            Axis landings take comma lists and become axes in
+            declaration order.
+        choices: the values the flag accepts, as typed.
+        required: the kind cannot run without the flag.
+    """
+
+    flag: str
+    key: str
+    default: str | None
+    help: str
+    type: Callable[[Any], Any] = str
+    lands: str = "axis"
+    choices: tuple[str, ...] | None = None
+    required: bool = False
+
+    @property
+    def is_list(self) -> bool:
+        return self.lands in ("axis", "base_or_axis")
+
+
+_MESHES_HELP = "comma list of WxH:MCS mesh points"
+_ORDERINGS = GridFlag("orderings", "ordering", "O0,O1,O2",
+                      "comma list of ordering methods")
+_CORES = GridFlag("cores", "core", None,
+                  "network-core axis: comma list of cores (event, "
+                  "stepped; default: no core axis)")
 
 
 class JobKind:
@@ -376,50 +411,85 @@ class JobKind:
     mesh_keys = _MESH_KEYS
     uses_model = True
     uses_seed = True
+    # The config class: ``from_dict`` reads the stored form and
+    # ``from_flat`` (``from_dict`` when the stored form is already
+    # flat) builds one expanded sweep point.
+    config_type: type = AcceleratorConfig
+    # The sweep/serve grid flags, in axis order (see GridFlag).
+    grid_flags: tuple[GridFlag, ...] = (
+        # --model takes "trained-lenet" for MODEL_NAMES' "trained_lenet".
+        GridFlag("model", "model", "lenet", "workload model",
+                 lambda text: text.replace("-", "_"), "spec",
+                 tuple(name.replace("_", "-") for name in MODEL_NAMES)),
+        GridFlag("meshes", "mesh", "4x4:2,8x8:4,8x8:8", _MESHES_HELP),
+        GridFlag("formats", "data_format", "fixed8",
+                 "comma list of data formats"),
+        _ORDERINGS,
+        GridFlag("tasks", "max_tasks_per_layer", "16",
+                 "sampled tasks per layer", int, "base"),
+        _CORES,
+    )
 
     # -- config schema ---------------------------------------------------
 
     def config_from_dict(self, data: dict[str, Any]) -> Any:
-        return AcceleratorConfig.from_dict(data)
+        return self.config_type.from_dict(data)
 
-    def _validate_accel_workload(self, job: "JobSpec") -> None:
-        if job.model not in MODEL_NAMES:
+    def _check_workload(self, job: "JobSpec") -> None:
+        """The model name and config type every job of the kind needs."""
+        if self.uses_model:
+            if job.model not in MODEL_NAMES:
+                raise ValueError(
+                    f"unknown model {job.model!r}; use one of {MODEL_NAMES}"
+                )
+        elif job.model is not None:
             raise ValueError(
-                f"unknown model {job.model!r}; use one of {MODEL_NAMES}"
+                f"{self.name} jobs carry no DNN model; leave model=None "
+                f"(no top-level DNN model: the config holds the workload)"
             )
-        if not isinstance(job.config, AcceleratorConfig):
+        if not isinstance(job.config, self.config_type):
             raise ValueError(
-                f"kind {self.name!r} needs an AcceleratorConfig, "
+                f"kind {self.name!r} needs a {self.config_type.__name__}, "
                 f"got {type(job.config).__name__}"
             )
 
+    def _keep_defaults(self, obj: Any, what: str) -> None:
+        """Reject workload fields the kind's key_payload would drop
+        (they would vanish on a to_dict round trip)."""
+        names = ("n_images",) if self.uses_model else (
+            "model", "model_seed", "image_seed", "n_images"
+        )
+        for name in names:
+            # A dataclass keeps each plain field default on the class.
+            if getattr(obj, name) != getattr(type(obj), name):
+                raise ValueError(
+                    f"{self.name} {what} take no {name}; "
+                    + ("n_images != 1 requires kind='batch'"
+                       if self.uses_model else
+                       "set workload seeds (e.g. the traffic seed) and "
+                       "fields in the config or base/axes instead")
+                )
+
     def validate_job(self, job: "JobSpec") -> None:
         """Reject field combinations that make no sense for the kind."""
-        self._validate_accel_workload(job)
-        if job.n_images != 1:
-            raise ValueError("n_images != 1 requires kind='batch'")
+        self._check_workload(job)
+        self._keep_defaults(job, "jobs")
 
     def validate_spec(self, spec: "SweepSpec") -> None:
         """Reject sweep fields the kind would silently drop."""
-        if spec.n_images != _spec_default(spec, "n_images"):
-            raise ValueError("n_images requires kind='batch'")
+        self._keep_defaults(spec, "sweeps")
 
     def key_payload(self, job: "JobSpec") -> dict[str, Any]:
         """The JSON-compatible identity hashed into the cache key."""
-        return {
-            "kind": self.name,
-            "model": job.model,
-            "model_seed": job.model_seed,
-            "image_seed": job.image_seed,
-            "max_cycles_per_layer": job.max_cycles_per_layer,
-            "config": job.config.to_dict(),
-        }
+        payload: dict[str, Any] = {"kind": self.name}
+        if self.uses_model:
+            payload.update(model=job.model, model_seed=job.model_seed,
+                           image_seed=job.image_seed)
+        payload["max_cycles_per_layer"] = job.max_cycles_per_layer
+        payload["config"] = job.config.to_dict()
+        return payload
 
     # -- sweep expansion -------------------------------------------------
-
-    def _build_point_config(self, kwargs: dict[str, Any]) -> Any:
-        """Config object from a fully-resolved flat point mapping."""
-        return AcceleratorConfig.from_dict(kwargs)
 
     def point_kwargs(
         self,
@@ -433,7 +503,7 @@ class JobKind:
         values, a derived seed when none is pinned, and config
         construction with the kind named in any error.  Subclasses
         parameterize it via ``mesh_keys`` / ``uses_model`` /
-        :meth:`_build_point_config`; ``seed_salt`` lets them fold
+        ``config_type``; ``seed_salt`` lets them fold
         kind-specific point fields that live outside the config (e.g.
         the batch size) into the derived seed, keeping per-job seeds
         collision-free.
@@ -468,8 +538,10 @@ class JobKind:
                 spec.seed, model if self.uses_model else self.name,
                 seed_kwargs, *seed_salt,
             )
+        config_type = self.config_type
+        build = getattr(config_type, "from_flat", config_type.from_dict)
         try:
-            config = self._build_point_config(kwargs)
+            config = build(kwargs)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"job kind {self.name!r}: {exc}") from exc
         out: dict[str, Any] = {
@@ -530,9 +602,12 @@ class BatchJobKind(JobKind):
     """
 
     name = "batch"
+    grid_flags = JobKind.grid_flags + (
+        GridFlag("images", "n_images", "4", "images per job", int, "spec"),
+    )
 
     def validate_job(self, job: "JobSpec") -> None:
-        self._validate_accel_workload(job)
+        self._check_workload(job)
         if job.n_images < 1:
             raise ValueError("batch jobs need n_images >= 1")
 
@@ -632,49 +707,24 @@ class SyntheticJobKind(JobKind):
     # shape applies, and derived seeds hash the kind name instead.
     mesh_keys = ("width", "height")
     uses_model = False
-
-    def config_from_dict(self, data: dict[str, Any]) -> Any:
-        return SyntheticJobConfig.from_dict(data)
-
-    def validate_job(self, job: "JobSpec") -> None:
-        if job.model is not None:
-            raise ValueError(
-                "synthetic jobs carry no DNN model; leave model=None"
-            )
-        if not isinstance(job.config, SyntheticJobConfig):
-            raise ValueError(
-                f"kind 'synthetic' needs a SyntheticJobConfig, "
-                f"got {type(job.config).__name__}"
-            )
-        # The DNN-workload fields are meaningless here and excluded
-        # from key_payload, so non-default values would silently drop
-        # on a to_dict round trip — reject them instead.
-        for name in ("model_seed", "image_seed", "n_images"):
-            if getattr(job, name) != _spec_default(job, name):
-                raise ValueError(
-                    "synthetic jobs take no model_seed/image_seed/"
-                    "n_images; set the traffic seed in the config instead"
-                )
-
-    def validate_spec(self, spec: "SweepSpec") -> None:
-        # A DNN-workload field on a synthetic sweep would be silently
-        # dropped by point_kwargs — fail loudly instead.
-        for name in ("model", "model_seed", "image_seed", "n_images"):
-            if getattr(spec, name) != _spec_default(spec, name):
-                raise ValueError(
-                    f"synthetic sweeps take no {name}; "
-                    "set workload fields in base/axes instead"
-                )
-
-    def key_payload(self, job: "JobSpec") -> dict[str, Any]:
-        return {
-            "kind": self.name,
-            "max_cycles_per_layer": job.max_cycles_per_layer,
-            "config": job.config.to_dict(),
-        }
-
-    def _build_point_config(self, kwargs: dict[str, Any]) -> Any:
-        return SyntheticJobConfig.from_flat(kwargs)
+    config_type = SyntheticJobConfig
+    grid_flags = (
+        GridFlag("meshes", "mesh", "4x4,8x8",
+                 "comma list of WxH mesh points (any :MCS is ignored)"),
+        GridFlag("patterns", "pattern",
+                 "uniform,transpose,complement,hotspot",
+                 "comma list of traffic patterns"),
+        _CORES,
+        GridFlag("payloads", "payload", "random",
+                 "comma list of payload kinds (random, zero, counter)",
+                 lands="base_or_axis"),
+        GridFlag("packets", "n_packets", "150", "packets injected per job",
+                 int, "base"),
+        GridFlag("window", "injection_window", "200",
+                 "injection window in cycles", int, "base"),
+        GridFlag("link_width", "link_width", "128", "link width in bits",
+                 int, "base"),
+    )
 
     def execute(self, job: "JobSpec") -> dict[str, Any]:
         network = drive_synthetic(
@@ -741,36 +791,24 @@ class ReplayJobKind(JobKind):
     # Trace files live on (possibly shared/remote) filesystems: a read
     # failure is environmental, not a property of the job — retry it.
     transient_errors = ("OSError", "PermissionError", "FileNotFoundError")
-
-    def config_from_dict(self, data: dict[str, Any]) -> Any:
-        return ReplayJobConfig.from_dict(data)
-
-    def validate_job(self, job: "JobSpec") -> None:
-        if job.model is not None:
-            raise ValueError(
-                "replay jobs carry no DNN model; leave model=None"
-            )
-        if not isinstance(job.config, ReplayJobConfig):
-            raise ValueError(
-                f"kind 'replay' needs a ReplayJobConfig, "
-                f"got {type(job.config).__name__}"
-            )
-        for name in ("model_seed", "image_seed", "n_images"):
-            if getattr(job, name) != _spec_default(job, name):
-                raise ValueError(
-                    "replay jobs take no model_seed/image_seed/n_images"
-                )
-
-    def validate_spec(self, spec: "SweepSpec") -> None:
-        for name in ("model", "model_seed", "image_seed", "n_images"):
-            if getattr(spec, name) != _spec_default(spec, name):
-                raise ValueError(
-                    f"replay sweeps take no {name}; "
-                    "axes are trace/ordering/coding/core/link_latency"
-                )
+    config_type = ReplayJobConfig
+    grid_flags = (
+        GridFlag("traces", "trace", None,
+                 "comma list of trace files recorded with --trace or "
+                 "TraceRecorder (the 'trace' axis)", required=True),
+        GridFlag("orderings", "ordering", "none,popcount_desc",
+                 "comma list of replay orderings"),
+        GridFlag("cores", "core", "offline",
+                 "comma list of cores (offline, event, stepped, or the "
+                 "differential 'both')"),
+        GridFlag("codings", "coding", "none",
+                 "comma list of link codings (none, bus_invert, delta; "
+                 "offline cores only)", lands="base_or_axis"),
+    )
 
     def key_payload(self, job: "JobSpec") -> dict[str, Any]:
-        config_dict = job.config.to_dict()
+        payload = super().key_payload(job)
+        config_dict = payload["config"]
         if not config_dict["trace_sha256"]:
             # Programmatic configs may omit the digest, but the cache
             # key must always be content-addressed — an empty digest
@@ -778,20 +816,12 @@ class ReplayJobKind(JobKind):
             # rewritten.  An unreadable file keeps the empty digest and
             # fails at execution with the captured-error machinery.
             try:
-                stat = os.stat(config_dict["trace"])
-                config_dict["trace_sha256"] = _trace_digest_cached(
-                    config_dict["trace"], stat.st_mtime_ns, stat.st_size
+                config_dict["trace_sha256"] = _trace_file_digest(
+                    config_dict["trace"]
                 )
             except OSError:
                 pass
-        return {
-            "kind": self.name,
-            "max_cycles_per_layer": job.max_cycles_per_layer,
-            "config": config_dict,
-        }
-
-    def _build_point_config(self, kwargs: dict[str, Any]) -> Any:
-        return ReplayJobConfig.from_flat(kwargs)
+        return payload
 
     def execute(self, job: "JobSpec") -> dict[str, Any]:
         config = job.config
@@ -958,45 +988,22 @@ class ServingJobConfig:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ServingJobConfig":
-        unknown = set(data) - {"serving", "noc"}
-        if unknown:
-            raise ValueError(
-                f"unknown ServingJobConfig keys: {sorted(unknown)}"
-            )
-        return cls(
-            serving=ServingConfig.from_dict(data["serving"]),
-            noc=NoCConfig.from_dict(data["noc"]),
+        return _parts_from_dict(
+            cls, data, serving=ServingConfig, noc=NoCConfig
         )
 
     @classmethod
     def from_flat(cls, kwargs: dict[str, Any]) -> "ServingJobConfig":
-        """Build from a flat sweep-point mapping.
+        """Build from a flat sweep-point mapping (see :func:`_split_flat`).
 
-        Sweep axes address serving and NoC fields by their plain names
-        (disjoint sets).  ``tenants`` accepts the compact mix grammar
-        ("lenet+uniform", see
-        :func:`repro.serving.fleet.parse_tenant_mix`) or a list of
+        ``tenants`` accepts the compact mix grammar ("lenet+uniform",
+        see :func:`repro.serving.fleet.parse_tenant_mix`) or a list of
         tenant dicts.  ``link_width`` defaults to the fleet data
         format's paper link width.
         """
-        serving_fields = {f.name for f in fields(ServingConfig)}
-        noc_fields = {f.name for f in fields(NoCConfig)}
-        serving_kw: dict[str, Any] = {}
-        noc_kw: dict[str, Any] = {}
-        unknown: list[str] = []
-        for key, value in kwargs.items():
-            if key in serving_fields:
-                serving_kw[key] = value
-            elif key in noc_fields:
-                noc_kw[key] = value
-            else:
-                unknown.append(key)
-        if unknown:
-            raise ValueError(
-                f"unknown serving config fields {sorted(unknown)}; "
-                f"serving fields: {sorted(serving_fields)}, "
-                f"noc fields: {sorted(noc_fields)}"
-            )
+        serving_kw, noc_kw = _split_flat(
+            kwargs, "serving", "serving", ServingConfig
+        )
         tenants = serving_kw.get("tenants")
         if isinstance(tenants, str):
             serving_kw["tenants"] = parse_tenant_mix(tenants)
@@ -1010,11 +1017,9 @@ class ServingJobConfig:
                 int(g) for g in serving_kw["inter_arrivals"]
             )
         if "link_width" not in noc_kw:
-            data_format = serving_kw.get(
-                "data_format",
-                _spec_default(ServingConfig(), "data_format"),
+            noc_kw["link_width"] = link_width_for(
+                serving_kw.get("data_format", ServingConfig.data_format)
             )
-            noc_kw["link_width"] = link_width_for(data_format)
         return cls(
             serving=ServingConfig(**serving_kw),
             noc=NoCConfig(**noc_kw),
@@ -1037,45 +1042,29 @@ class ServingJobKind(JobKind):
     # arrivals and synthetic payloads.
     mesh_keys = ("width", "height", "n_mcs")
     uses_model = False
-
-    def config_from_dict(self, data: dict[str, Any]) -> Any:
-        return ServingJobConfig.from_dict(data)
-
-    def validate_job(self, job: "JobSpec") -> None:
-        if job.model is not None:
-            raise ValueError(
-                "serving jobs carry no top-level DNN model; tenants "
-                "name their models in the fleet config"
-            )
-        if not isinstance(job.config, ServingJobConfig):
-            raise ValueError(
-                f"kind 'serving' needs a ServingJobConfig, "
-                f"got {type(job.config).__name__}"
-            )
-        for name in ("model_seed", "image_seed", "n_images"):
-            if getattr(job, name) != _spec_default(job, name):
-                raise ValueError(
-                    "serving jobs take no model_seed/image_seed/"
-                    "n_images; set workload seeds in the serving config"
-                )
-
-    def validate_spec(self, spec: "SweepSpec") -> None:
-        for name in ("model", "model_seed", "image_seed", "n_images"):
-            if getattr(spec, name) != _spec_default(spec, name):
-                raise ValueError(
-                    f"serving sweeps take no {name}; "
-                    "set workload fields in base/axes instead"
-                )
-
-    def key_payload(self, job: "JobSpec") -> dict[str, Any]:
-        return {
-            "kind": self.name,
-            "max_cycles_per_layer": job.max_cycles_per_layer,
-            "config": job.config.to_dict(),
-        }
-
-    def _build_point_config(self, kwargs: dict[str, Any]) -> Any:
-        return ServingJobConfig.from_flat(kwargs)
+    config_type = ServingJobConfig
+    # Omitted flags fall back to the ServingConfig / NoCConfig defaults.
+    grid_flags = (
+        GridFlag("meshes", "mesh", "4x4:2", _MESHES_HELP),
+        GridFlag("tenants", "tenants", "lenet+uniform",
+                 "comma list of tenant mixes in the compact grammar, "
+                 "e.g. 'lenet+uniform@0.05,lenet+lenet'"),
+        _ORDERINGS,
+        _CORES,
+        GridFlag("rates", "background_rate", "0.01",
+                 "comma list of background arrival rates in requests/"
+                 "cycle for synthetic tenants without an explicit @rate",
+                 float, "base_or_axis"),
+        GridFlag("requests", "n_requests", None,
+                 "requests per tenant (default 2)", int, "base"),
+        GridFlag("packets", "packets_per_request", None,
+                 "packets per synthetic request (default 8)", int, "base"),
+        GridFlag("tasks", "max_tasks_per_layer", None,
+                 "sampled tasks per layer (default 4)", int, "base"),
+        GridFlag("link_width", "link_width", None,
+                 "link width in bits (default: the fleet data format's "
+                 "paper width)", int, "base"),
+    )
 
     def execute(self, job: "JobSpec") -> dict[str, Any]:
         result = run_serving(

@@ -956,3 +956,549 @@ class TestServiceCLI:
         journal_path.write_text(text)
         with pytest.raises(SystemExit, match="drifted"):
             main(sweep + ["--resume", cid])
+
+
+# -- sweep/serve grid flags -> SweepSpec --------------------------------
+#
+# Expected values captured from the hand-written flag handling the grid
+# declarations replaced: the same argv must keep building the same spec
+# (to_dict, axis order, campaign id), so journals and job ids carry over.
+
+GOLDEN_SPECS = [
+    (
+        ["sweep"],
+        {"name": "sweep", "kind": "model", "model": "lenet", "base":
+         {"max_tasks_per_layer": 16}, "axes": {"mesh": ["4x4:2", "8x8:4",
+         "8x8:8"], "data_format": ["fixed8"], "ordering": ["O0", "O1", "O2"]},
+         "seed": 0, "model_seed": 1, "image_seed": 5, "max_cycles_per_layer":
+         2000000, "n_images": 1},
+        ["mesh", "data_format", "ordering"], "sweep-5a9c12fe",
+    ),
+    (
+        ["sweep", "--kind", "model"],
+        {"name": "sweep", "kind": "model", "model": "lenet", "base":
+         {"max_tasks_per_layer": 16}, "axes": {"mesh": ["4x4:2", "8x8:4",
+         "8x8:8"], "data_format": ["fixed8"], "ordering": ["O0", "O1", "O2"]},
+         "seed": 0, "model_seed": 1, "image_seed": 5, "max_cycles_per_layer":
+         2000000, "n_images": 1},
+        ["mesh", "data_format", "ordering"], "sweep-5a9c12fe",
+    ),
+    (
+        ["sweep", "--kind", "batch"],
+        {"name": "sweep", "kind": "batch", "model": "lenet", "base":
+         {"max_tasks_per_layer": 16}, "axes": {"mesh": ["4x4:2", "8x8:4",
+         "8x8:8"], "data_format": ["fixed8"], "ordering": ["O0", "O1", "O2"]},
+         "seed": 0, "model_seed": 1, "image_seed": 5, "max_cycles_per_layer":
+         2000000, "n_images": 4},
+        ["mesh", "data_format", "ordering"], "sweep-77247b1b",
+    ),
+    (
+        ["sweep", "--kind", "synthetic"],
+        {"name": "sweep", "kind": "synthetic", "model": "lenet", "base":
+         {"n_packets": 150, "injection_window": 200, "link_width": 128,
+         "payload": "random"}, "axes": {"mesh": ["4x4", "8x8"], "pattern":
+         ["uniform", "transpose", "complement", "hotspot"]}, "seed": 0,
+         "model_seed": 1, "image_seed": 5, "max_cycles_per_layer": 2000000,
+         "n_images": 1},
+        ["mesh", "pattern"], "sweep-c15f3243",
+    ),
+    (
+        ["sweep", "--kind", "replay", "--traces", "runs/a.trace.gz"],
+        {"name": "sweep", "kind": "replay", "model": "lenet", "base":
+         {"coding": "none"}, "axes": {"trace": ["runs/a.trace.gz"], "ordering":
+         ["none", "popcount_desc"], "core": ["offline"]}, "seed": 0,
+         "model_seed": 1, "image_seed": 5, "max_cycles_per_layer": 2000000,
+         "n_images": 1},
+        ["trace", "ordering", "core"], "sweep-ef8f461a",
+    ),
+    (
+        ["sweep", "--kind", "serving"],
+        {"name": "sweep", "kind": "serving", "model": "lenet", "base":
+         {"background_rate": 0.01}, "axes": {"mesh": ["4x4:2"], "tenants":
+         ["lenet+uniform"], "ordering": ["O0", "O1", "O2"]}, "seed": 0,
+         "model_seed": 1, "image_seed": 5, "max_cycles_per_layer": 2000000,
+         "n_images": 1},
+        ["mesh", "tenants", "ordering"], "sweep-7ef524d1",
+    ),
+    (
+        ["serve", "--kind", "serving"],
+        {"name": "sweep", "kind": "serving", "model": "lenet", "base":
+         {"background_rate": 0.01}, "axes": {"mesh": ["4x4:2"], "tenants":
+         ["lenet+uniform"], "ordering": ["O0", "O1", "O2"]}, "seed": 0,
+         "model_seed": 1, "image_seed": 5, "max_cycles_per_layer": 2000000,
+         "n_images": 1},
+        ["mesh", "tenants", "ordering"], "sweep-7ef524d1",
+    ),
+    (
+        ["sweep", "--name", "fig12"],
+        {"name": "fig12", "kind": "model", "model": "lenet", "base":
+         {"max_tasks_per_layer": 16}, "axes": {"mesh": ["4x4:2", "8x8:4",
+         "8x8:8"], "data_format": ["fixed8"], "ordering": ["O0", "O1", "O2"]},
+         "seed": 0, "model_seed": 1, "image_seed": 5, "max_cycles_per_layer":
+         2000000, "n_images": 1},
+        ["mesh", "data_format", "ordering"], "fig12-a0fb539f",
+    ),
+    (
+        ["sweep", "--model", "darknet"],
+        {"name": "sweep", "kind": "model", "model": "darknet", "base":
+         {"max_tasks_per_layer": 16}, "axes": {"mesh": ["4x4:2", "8x8:4",
+         "8x8:8"], "data_format": ["fixed8"], "ordering": ["O0", "O1", "O2"]},
+         "seed": 0, "model_seed": 1, "image_seed": 5, "max_cycles_per_layer":
+         2000000, "n_images": 1},
+        ["mesh", "data_format", "ordering"], "sweep-eaeab7f5",
+    ),
+    (
+        ["sweep", "--model", "trained-lenet"],
+        {"name": "sweep", "kind": "model", "model": "trained_lenet", "base":
+         {"max_tasks_per_layer": 16}, "axes": {"mesh": ["4x4:2", "8x8:4",
+         "8x8:8"], "data_format": ["fixed8"], "ordering": ["O0", "O1", "O2"]},
+         "seed": 0, "model_seed": 1, "image_seed": 5, "max_cycles_per_layer":
+         2000000, "n_images": 1},
+        ["mesh", "data_format", "ordering"], "sweep-39cce55f",
+    ),
+    (
+        ["sweep", "--meshes", "2x2:1,3x3:1"],
+        {"name": "sweep", "kind": "model", "model": "lenet", "base":
+         {"max_tasks_per_layer": 16}, "axes": {"mesh": ["2x2:1", "3x3:1"],
+         "data_format": ["fixed8"], "ordering": ["O0", "O1", "O2"]}, "seed": 0,
+         "model_seed": 1, "image_seed": 5, "max_cycles_per_layer": 2000000,
+         "n_images": 1},
+        ["mesh", "data_format", "ordering"], "sweep-209d5b5b",
+    ),
+    (
+        ["sweep", "--formats", "float32,fixed8"],
+        {"name": "sweep", "kind": "model", "model": "lenet", "base":
+         {"max_tasks_per_layer": 16}, "axes": {"mesh": ["4x4:2", "8x8:4",
+         "8x8:8"], "data_format": ["float32", "fixed8"], "ordering": ["O0",
+         "O1", "O2"]}, "seed": 0, "model_seed": 1, "image_seed": 5,
+         "max_cycles_per_layer": 2000000, "n_images": 1},
+        ["mesh", "data_format", "ordering"], "sweep-2b55ff88",
+    ),
+    (
+        ["sweep", "--orderings", "O0"],
+        {"name": "sweep", "kind": "model", "model": "lenet", "base":
+         {"max_tasks_per_layer": 16}, "axes": {"mesh": ["4x4:2", "8x8:4",
+         "8x8:8"], "data_format": ["fixed8"], "ordering": ["O0"]}, "seed": 0,
+         "model_seed": 1, "image_seed": 5, "max_cycles_per_layer": 2000000,
+         "n_images": 1},
+        ["mesh", "data_format", "ordering"], "sweep-7e11fe77",
+    ),
+    (
+        ["sweep", "--tasks", "3"],
+        {"name": "sweep", "kind": "model", "model": "lenet", "base":
+         {"max_tasks_per_layer": 3}, "axes": {"mesh": ["4x4:2", "8x8:4",
+         "8x8:8"], "data_format": ["fixed8"], "ordering": ["O0", "O1", "O2"]},
+         "seed": 0, "model_seed": 1, "image_seed": 5, "max_cycles_per_layer":
+         2000000, "n_images": 1},
+        ["mesh", "data_format", "ordering"], "sweep-c311b747",
+    ),
+    (
+        ["sweep", "--cores", "event,stepped"],
+        {"name": "sweep", "kind": "model", "model": "lenet", "base":
+         {"max_tasks_per_layer": 16}, "axes": {"mesh": ["4x4:2", "8x8:4",
+         "8x8:8"], "data_format": ["fixed8"], "ordering": ["O0", "O1", "O2"],
+         "core": ["event", "stepped"]}, "seed": 0, "model_seed": 1,
+         "image_seed": 5, "max_cycles_per_layer": 2000000, "n_images": 1},
+        ["mesh", "data_format", "ordering", "core"], "sweep-023fab20",
+    ),
+    (
+        ["sweep", "--seed", "7"],
+        {"name": "sweep", "kind": "model", "model": "lenet", "base":
+         {"max_tasks_per_layer": 16}, "axes": {"mesh": ["4x4:2", "8x8:4",
+         "8x8:8"], "data_format": ["fixed8"], "ordering": ["O0", "O1", "O2"]},
+         "seed": 7, "model_seed": 1499314666, "image_seed": 2483152882,
+         "max_cycles_per_layer": 2000000, "n_images": 1},
+        ["mesh", "data_format", "ordering"], "sweep-345e7544",
+    ),
+    (
+        ["serve", "--meshes", "8x8:4", "--orderings", "O0,O2", "--tasks", "2"],
+        {"name": "sweep", "kind": "model", "model": "lenet", "base":
+         {"max_tasks_per_layer": 2}, "axes": {"mesh": ["8x8:4"], "data_format":
+         ["fixed8"], "ordering": ["O0", "O2"]}, "seed": 0, "model_seed": 1,
+         "image_seed": 5, "max_cycles_per_layer": 2000000, "n_images": 1},
+        ["mesh", "data_format", "ordering"], "sweep-383e53ff",
+    ),
+    (
+        ["sweep", "--kind", "batch", "--model", "trained-lenet"],
+        {"name": "sweep", "kind": "batch", "model": "trained_lenet", "base":
+         {"max_tasks_per_layer": 16}, "axes": {"mesh": ["4x4:2", "8x8:4",
+         "8x8:8"], "data_format": ["fixed8"], "ordering": ["O0", "O1", "O2"]},
+         "seed": 0, "model_seed": 1, "image_seed": 5, "max_cycles_per_layer":
+         2000000, "n_images": 4},
+        ["mesh", "data_format", "ordering"], "sweep-bacf2989",
+    ),
+    (
+        ["sweep", "--kind", "batch", "--meshes", "2x2:1"],
+        {"name": "sweep", "kind": "batch", "model": "lenet", "base":
+         {"max_tasks_per_layer": 16}, "axes": {"mesh": ["2x2:1"],
+         "data_format": ["fixed8"], "ordering": ["O0", "O1", "O2"]}, "seed": 0,
+         "model_seed": 1, "image_seed": 5, "max_cycles_per_layer": 2000000,
+         "n_images": 4},
+        ["mesh", "data_format", "ordering"], "sweep-4458720d",
+    ),
+    (
+        ["sweep", "--kind", "batch", "--formats", "float32"],
+        {"name": "sweep", "kind": "batch", "model": "lenet", "base":
+         {"max_tasks_per_layer": 16}, "axes": {"mesh": ["4x4:2", "8x8:4",
+         "8x8:8"], "data_format": ["float32"], "ordering": ["O0", "O1", "O2"]},
+         "seed": 0, "model_seed": 1, "image_seed": 5, "max_cycles_per_layer":
+         2000000, "n_images": 4},
+        ["mesh", "data_format", "ordering"], "sweep-c32a816a",
+    ),
+    (
+        ["sweep", "--kind", "batch", "--orderings", "O1,O2"],
+        {"name": "sweep", "kind": "batch", "model": "lenet", "base":
+         {"max_tasks_per_layer": 16}, "axes": {"mesh": ["4x4:2", "8x8:4",
+         "8x8:8"], "data_format": ["fixed8"], "ordering": ["O1", "O2"]},
+         "seed": 0, "model_seed": 1, "image_seed": 5, "max_cycles_per_layer":
+         2000000, "n_images": 4},
+        ["mesh", "data_format", "ordering"], "sweep-3f4a7dd5",
+    ),
+    (
+        ["sweep", "--kind", "batch", "--tasks", "1"],
+        {"name": "sweep", "kind": "batch", "model": "lenet", "base":
+         {"max_tasks_per_layer": 1}, "axes": {"mesh": ["4x4:2", "8x8:4",
+         "8x8:8"], "data_format": ["fixed8"], "ordering": ["O0", "O1", "O2"]},
+         "seed": 0, "model_seed": 1, "image_seed": 5, "max_cycles_per_layer":
+         2000000, "n_images": 4},
+        ["mesh", "data_format", "ordering"], "sweep-b6a153c2",
+    ),
+    (
+        ["sweep", "--kind", "batch", "--images", "2"],
+        {"name": "sweep", "kind": "batch", "model": "lenet", "base":
+         {"max_tasks_per_layer": 16}, "axes": {"mesh": ["4x4:2", "8x8:4",
+         "8x8:8"], "data_format": ["fixed8"], "ordering": ["O0", "O1", "O2"]},
+         "seed": 0, "model_seed": 1, "image_seed": 5, "max_cycles_per_layer":
+         2000000, "n_images": 2},
+        ["mesh", "data_format", "ordering"], "sweep-f822d377",
+    ),
+    (
+        ["sweep", "--kind", "batch", "--cores", "stepped"],
+        {"name": "sweep", "kind": "batch", "model": "lenet", "base":
+         {"max_tasks_per_layer": 16}, "axes": {"mesh": ["4x4:2", "8x8:4",
+         "8x8:8"], "data_format": ["fixed8"], "ordering": ["O0", "O1", "O2"],
+         "core": ["stepped"]}, "seed": 0, "model_seed": 1, "image_seed": 5,
+         "max_cycles_per_layer": 2000000, "n_images": 4},
+        ["mesh", "data_format", "ordering", "core"], "sweep-09c5e3c0",
+    ),
+    (
+        ["sweep", "--kind", "batch", "--seed", "11"],
+        {"name": "sweep", "kind": "batch", "model": "lenet", "base":
+         {"max_tasks_per_layer": 16}, "axes": {"mesh": ["4x4:2", "8x8:4",
+         "8x8:8"], "data_format": ["fixed8"], "ordering": ["O0", "O1", "O2"]},
+         "seed": 11, "model_seed": 597803252, "image_seed": 4041335409,
+         "max_cycles_per_layer": 2000000, "n_images": 4},
+        ["mesh", "data_format", "ordering"], "sweep-7d06cf0f",
+    ),
+    (
+        ["sweep", "--kind", "synthetic", "--meshes", "2x2,3x3"],
+        {"name": "sweep", "kind": "synthetic", "model": "lenet", "base":
+         {"n_packets": 150, "injection_window": 200, "link_width": 128,
+         "payload": "random"}, "axes": {"mesh": ["2x2", "3x3"], "pattern":
+         ["uniform", "transpose", "complement", "hotspot"]}, "seed": 0,
+         "model_seed": 1, "image_seed": 5, "max_cycles_per_layer": 2000000,
+         "n_images": 1},
+        ["mesh", "pattern"], "sweep-85920521",
+    ),
+    (
+        ["sweep", "--kind", "synthetic", "--patterns", "uniform,hotspot"],
+        {"name": "sweep", "kind": "synthetic", "model": "lenet", "base":
+         {"n_packets": 150, "injection_window": 200, "link_width": 128,
+         "payload": "random"}, "axes": {"mesh": ["4x4", "8x8"], "pattern":
+         ["uniform", "hotspot"]}, "seed": 0, "model_seed": 1, "image_seed": 5,
+         "max_cycles_per_layer": 2000000, "n_images": 1},
+        ["mesh", "pattern"], "sweep-fdb166fb",
+    ),
+    (
+        ["sweep", "--kind", "synthetic", "--payloads", "zero"],
+        {"name": "sweep", "kind": "synthetic", "model": "lenet", "base":
+         {"n_packets": 150, "injection_window": 200, "link_width": 128,
+         "payload": "zero"}, "axes": {"mesh": ["4x4", "8x8"], "pattern":
+         ["uniform", "transpose", "complement", "hotspot"]}, "seed": 0,
+         "model_seed": 1, "image_seed": 5, "max_cycles_per_layer": 2000000,
+         "n_images": 1},
+        ["mesh", "pattern"], "sweep-d88d3969",
+    ),
+    (
+        ["sweep", "--kind", "synthetic", "--payloads", "random,zero,counter"],
+        {"name": "sweep", "kind": "synthetic", "model": "lenet", "base":
+         {"n_packets": 150, "injection_window": 200, "link_width": 128},
+         "axes": {"mesh": ["4x4", "8x8"], "pattern": ["uniform", "transpose",
+         "complement", "hotspot"], "payload": ["random", "zero", "counter"]},
+         "seed": 0, "model_seed": 1, "image_seed": 5, "max_cycles_per_layer":
+         2000000, "n_images": 1},
+        ["mesh", "pattern", "payload"], "sweep-0a15b1bb",
+    ),
+    (
+        ["sweep", "--kind", "synthetic", "--packets", "10"],
+        {"name": "sweep", "kind": "synthetic", "model": "lenet", "base":
+         {"n_packets": 10, "injection_window": 200, "link_width": 128,
+         "payload": "random"}, "axes": {"mesh": ["4x4", "8x8"], "pattern":
+         ["uniform", "transpose", "complement", "hotspot"]}, "seed": 0,
+         "model_seed": 1, "image_seed": 5, "max_cycles_per_layer": 2000000,
+         "n_images": 1},
+        ["mesh", "pattern"], "sweep-3c7d29cc",
+    ),
+    (
+        ["sweep", "--kind", "synthetic", "--window", "50"],
+        {"name": "sweep", "kind": "synthetic", "model": "lenet", "base":
+         {"n_packets": 150, "injection_window": 50, "link_width": 128,
+         "payload": "random"}, "axes": {"mesh": ["4x4", "8x8"], "pattern":
+         ["uniform", "transpose", "complement", "hotspot"]}, "seed": 0,
+         "model_seed": 1, "image_seed": 5, "max_cycles_per_layer": 2000000,
+         "n_images": 1},
+        ["mesh", "pattern"], "sweep-31ac207f",
+    ),
+    (
+        ["sweep", "--kind", "synthetic", "--link-width", "64"],
+        {"name": "sweep", "kind": "synthetic", "model": "lenet", "base":
+         {"n_packets": 150, "injection_window": 200, "link_width": 64,
+         "payload": "random"}, "axes": {"mesh": ["4x4", "8x8"], "pattern":
+         ["uniform", "transpose", "complement", "hotspot"]}, "seed": 0,
+         "model_seed": 1, "image_seed": 5, "max_cycles_per_layer": 2000000,
+         "n_images": 1},
+        ["mesh", "pattern"], "sweep-d8785245",
+    ),
+    (
+        ["sweep", "--kind", "synthetic", "--cores", "event,stepped"],
+        {"name": "sweep", "kind": "synthetic", "model": "lenet", "base":
+         {"n_packets": 150, "injection_window": 200, "link_width": 128,
+         "payload": "random"}, "axes": {"mesh": ["4x4", "8x8"], "pattern":
+         ["uniform", "transpose", "complement", "hotspot"], "core": ["event",
+         "stepped"]}, "seed": 0, "model_seed": 1, "image_seed": 5,
+         "max_cycles_per_layer": 2000000, "n_images": 1},
+        ["mesh", "pattern", "core"], "sweep-c4485119",
+    ),
+    (
+        ["sweep", "--kind", "synthetic", "--seed", "3"],
+        {"name": "sweep", "kind": "synthetic", "model": "lenet", "base":
+         {"n_packets": 150, "injection_window": 200, "link_width": 128,
+         "payload": "random"}, "axes": {"mesh": ["4x4", "8x8"], "pattern":
+         ["uniform", "transpose", "complement", "hotspot"]}, "seed": 3,
+         "model_seed": 1, "image_seed": 5, "max_cycles_per_layer": 2000000,
+         "n_images": 1},
+        ["mesh", "pattern"], "sweep-57ef2e2a",
+    ),
+    (
+        ["sweep", "--kind", "replay", "--traces",
+         "runs/a.trace.gz,runs/b.trace.gz"],
+        {"name": "sweep", "kind": "replay", "model": "lenet", "base":
+         {"coding": "none"}, "axes": {"trace": ["runs/a.trace.gz",
+         "runs/b.trace.gz"], "ordering": ["none", "popcount_desc"], "core":
+         ["offline"]}, "seed": 0, "model_seed": 1, "image_seed": 5,
+         "max_cycles_per_layer": 2000000, "n_images": 1},
+        ["trace", "ordering", "core"], "sweep-0e2648b4",
+    ),
+    (
+        ["sweep", "--kind", "replay", "--traces", "runs/a.trace.gz",
+         "--orderings", "none"],
+        {"name": "sweep", "kind": "replay", "model": "lenet", "base":
+         {"coding": "none"}, "axes": {"trace": ["runs/a.trace.gz"], "ordering":
+         ["none"], "core": ["offline"]}, "seed": 0, "model_seed": 1,
+         "image_seed": 5, "max_cycles_per_layer": 2000000, "n_images": 1},
+        ["trace", "ordering", "core"], "sweep-bb42c57b",
+    ),
+    (
+        ["sweep", "--kind", "replay", "--traces", "runs/a.trace.gz",
+         "--codings", "delta"],
+        {"name": "sweep", "kind": "replay", "model": "lenet", "base":
+         {"coding": "delta"}, "axes": {"trace": ["runs/a.trace.gz"],
+         "ordering": ["none", "popcount_desc"], "core": ["offline"]}, "seed":
+         0, "model_seed": 1, "image_seed": 5, "max_cycles_per_layer": 2000000,
+         "n_images": 1},
+        ["trace", "ordering", "core"], "sweep-34769db4",
+    ),
+    (
+        ["sweep", "--kind", "replay", "--traces", "runs/a.trace.gz",
+         "--codings", "none,bus_invert,delta"],
+        {"name": "sweep", "kind": "replay", "model": "lenet", "base": {},
+         "axes": {"trace": ["runs/a.trace.gz"], "ordering": ["none",
+         "popcount_desc"], "core": ["offline"], "coding": ["none",
+         "bus_invert", "delta"]}, "seed": 0, "model_seed": 1, "image_seed": 5,
+         "max_cycles_per_layer": 2000000, "n_images": 1},
+        ["trace", "ordering", "core", "coding"], "sweep-e881bc07",
+    ),
+    (
+        ["sweep", "--kind", "replay", "--traces", "runs/a.trace.gz", "--cores",
+         "offline,both"],
+        {"name": "sweep", "kind": "replay", "model": "lenet", "base":
+         {"coding": "none"}, "axes": {"trace": ["runs/a.trace.gz"], "ordering":
+         ["none", "popcount_desc"], "core": ["offline", "both"]}, "seed": 0,
+         "model_seed": 1, "image_seed": 5, "max_cycles_per_layer": 2000000,
+         "n_images": 1},
+        ["trace", "ordering", "core"], "sweep-dadb9a50",
+    ),
+    (
+        ["sweep", "--kind", "replay", "--traces", "runs/a.trace.gz", "--seed",
+         "5"],
+        {"name": "sweep", "kind": "replay", "model": "lenet", "base":
+         {"coding": "none"}, "axes": {"trace": ["runs/a.trace.gz"], "ordering":
+         ["none", "popcount_desc"], "core": ["offline"]}, "seed": 5,
+         "model_seed": 1, "image_seed": 5, "max_cycles_per_layer": 2000000,
+         "n_images": 1},
+        ["trace", "ordering", "core"], "sweep-f5855475",
+    ),
+    (
+        ["sweep", "--kind", "serving", "--meshes", "2x2:1,4x4:2"],
+        {"name": "sweep", "kind": "serving", "model": "lenet", "base":
+         {"background_rate": 0.01}, "axes": {"mesh": ["2x2:1", "4x4:2"],
+         "tenants": ["lenet+uniform"], "ordering": ["O0", "O1", "O2"]}, "seed":
+         0, "model_seed": 1, "image_seed": 5, "max_cycles_per_layer": 2000000,
+         "n_images": 1},
+        ["mesh", "tenants", "ordering"], "sweep-eaaef9c9",
+    ),
+    (
+        ["sweep", "--kind", "serving", "--tenants",
+         "lenet+uniform@0.05,lenet+lenet"],
+        {"name": "sweep", "kind": "serving", "model": "lenet", "base":
+         {"background_rate": 0.01}, "axes": {"mesh": ["4x4:2"], "tenants":
+         ["lenet+uniform@0.05", "lenet+lenet"], "ordering": ["O0", "O1",
+         "O2"]}, "seed": 0, "model_seed": 1, "image_seed": 5,
+         "max_cycles_per_layer": 2000000, "n_images": 1},
+        ["mesh", "tenants", "ordering"], "sweep-c00bb1e8",
+    ),
+    (
+        ["sweep", "--kind", "serving", "--orderings", "O0"],
+        {"name": "sweep", "kind": "serving", "model": "lenet", "base":
+         {"background_rate": 0.01}, "axes": {"mesh": ["4x4:2"], "tenants":
+         ["lenet+uniform"], "ordering": ["O0"]}, "seed": 0, "model_seed": 1,
+         "image_seed": 5, "max_cycles_per_layer": 2000000, "n_images": 1},
+        ["mesh", "tenants", "ordering"], "sweep-b190af6f",
+    ),
+    (
+        ["sweep", "--kind", "serving", "--cores", "stepped"],
+        {"name": "sweep", "kind": "serving", "model": "lenet", "base":
+         {"background_rate": 0.01}, "axes": {"mesh": ["4x4:2"], "tenants":
+         ["lenet+uniform"], "ordering": ["O0", "O1", "O2"], "core":
+         ["stepped"]}, "seed": 0, "model_seed": 1, "image_seed": 5,
+         "max_cycles_per_layer": 2000000, "n_images": 1},
+        ["mesh", "tenants", "ordering", "core"], "sweep-5e86ae65",
+    ),
+    (
+        ["sweep", "--kind", "serving", "--rates", "0.05"],
+        {"name": "sweep", "kind": "serving", "model": "lenet", "base":
+         {"background_rate": 0.05}, "axes": {"mesh": ["4x4:2"], "tenants":
+         ["lenet+uniform"], "ordering": ["O0", "O1", "O2"]}, "seed": 0,
+         "model_seed": 1, "image_seed": 5, "max_cycles_per_layer": 2000000,
+         "n_images": 1},
+        ["mesh", "tenants", "ordering"], "sweep-15c205da",
+    ),
+    (
+        ["sweep", "--kind", "serving", "--rates", "0.01,0.05"],
+        {"name": "sweep", "kind": "serving", "model": "lenet", "base": {},
+         "axes": {"mesh": ["4x4:2"], "tenants": ["lenet+uniform"], "ordering":
+         ["O0", "O1", "O2"], "background_rate": [0.01, 0.05]}, "seed": 0,
+         "model_seed": 1, "image_seed": 5, "max_cycles_per_layer": 2000000,
+         "n_images": 1},
+        ["mesh", "tenants", "ordering", "background_rate"], "sweep-17ac6329",
+    ),
+    (
+        ["sweep", "--kind", "serving", "--requests", "3"],
+        {"name": "sweep", "kind": "serving", "model": "lenet", "base":
+         {"background_rate": 0.01, "n_requests": 3}, "axes": {"mesh":
+         ["4x4:2"], "tenants": ["lenet+uniform"], "ordering": ["O0", "O1",
+         "O2"]}, "seed": 0, "model_seed": 1, "image_seed": 5,
+         "max_cycles_per_layer": 2000000, "n_images": 1},
+        ["mesh", "tenants", "ordering"], "sweep-6997119a",
+    ),
+    (
+        ["sweep", "--kind", "serving", "--packets", "4"],
+        {"name": "sweep", "kind": "serving", "model": "lenet", "base":
+         {"background_rate": 0.01, "packets_per_request": 4}, "axes": {"mesh":
+         ["4x4:2"], "tenants": ["lenet+uniform"], "ordering": ["O0", "O1",
+         "O2"]}, "seed": 0, "model_seed": 1, "image_seed": 5,
+         "max_cycles_per_layer": 2000000, "n_images": 1},
+        ["mesh", "tenants", "ordering"], "sweep-87bfc4fd",
+    ),
+    (
+        ["sweep", "--kind", "serving", "--tasks", "2"],
+        {"name": "sweep", "kind": "serving", "model": "lenet", "base":
+         {"background_rate": 0.01, "max_tasks_per_layer": 2}, "axes": {"mesh":
+         ["4x4:2"], "tenants": ["lenet+uniform"], "ordering": ["O0", "O1",
+         "O2"]}, "seed": 0, "model_seed": 1, "image_seed": 5,
+         "max_cycles_per_layer": 2000000, "n_images": 1},
+        ["mesh", "tenants", "ordering"], "sweep-746bdeee",
+    ),
+    (
+        ["sweep", "--kind", "serving", "--link-width", "64"],
+        {"name": "sweep", "kind": "serving", "model": "lenet", "base":
+         {"background_rate": 0.01, "link_width": 64}, "axes": {"mesh":
+         ["4x4:2"], "tenants": ["lenet+uniform"], "ordering": ["O0", "O1",
+         "O2"]}, "seed": 0, "model_seed": 1, "image_seed": 5,
+         "max_cycles_per_layer": 2000000, "n_images": 1},
+        ["mesh", "tenants", "ordering"], "sweep-473976e6",
+    ),
+    (
+        ["sweep", "--kind", "serving", "--seed", "9"],
+        {"name": "sweep", "kind": "serving", "model": "lenet", "base":
+         {"background_rate": 0.01}, "axes": {"mesh": ["4x4:2"], "tenants":
+         ["lenet+uniform"], "ordering": ["O0", "O1", "O2"]}, "seed": 9,
+         "model_seed": 1, "image_seed": 5, "max_cycles_per_layer": 2000000,
+         "n_images": 1},
+        ["mesh", "tenants", "ordering"], "sweep-18271b25",
+    ),
+]
+
+
+# Which kind-specific grid flags each kind took before the declarations
+# existed (--meshes applied to every kind but replay).
+KIND_FLAGS = {
+    "model": ("model", "formats", "orderings", "tasks", "cores"),
+    "batch": ("model", "formats", "orderings", "tasks", "images",
+              "cores"),
+    "synthetic": ("patterns", "payloads", "packets", "window",
+                  "link_width", "cores"),
+    "replay": ("traces", "orderings", "codings", "cores"),
+    "serving": ("tenants", "rates", "requests", "orderings", "packets",
+                "tasks", "link_width", "cores"),
+}
+ALL_GRID_FLAGS = sorted(
+    {flag for flags in KIND_FLAGS.values() for flag in flags}
+)
+INT_GRID_FLAGS = {"tasks", "images", "packets", "window", "link_width",
+                  "requests"}
+
+
+def spec_from_argv(argv):
+    from repro.cli import _sweep_spec_from_args
+
+    return _sweep_spec_from_args(build_parser().parse_args(argv))
+
+
+class TestGridFlagSpecs:
+    @pytest.mark.parametrize(
+        "argv,expected,axes,cid", GOLDEN_SPECS,
+        ids=[" ".join(case[0]) for case in GOLDEN_SPECS],
+    )
+    def test_flags_build_the_recorded_spec(self, argv, expected, axes, cid):
+        from repro.experiments.spec import campaign_id
+
+        spec = spec_from_argv(argv)
+        assert spec.to_dict() == expected
+        assert list(spec.axes) == axes
+        assert campaign_id(spec) == cid
+
+    @pytest.mark.parametrize(
+        "kind,flag",
+        [
+            (kind, flag)
+            for kind, flags in KIND_FLAGS.items()
+            for flag in ALL_GRID_FLAGS
+            if flag not in flags
+        ] + [("replay", "meshes")],
+    )
+    def test_flag_outside_the_kind_does_not_apply(self, kind, flag):
+        value = (
+            "lenet" if flag == "model"
+            else "3" if flag in INT_GRID_FLAGS
+            else "x"
+        )
+        argv = ["sweep", "--kind", kind,
+                f"--{flag.replace('_', '-')}", value]
+        if kind == "replay":
+            argv += ["--traces", "a.trace.gz"]
+        option = flag.replace("_", "-")
+        with pytest.raises(
+            SystemExit, match=f"--{option} does not apply to --kind {kind}"
+        ):
+            spec_from_argv(argv)

@@ -37,6 +37,23 @@ class TestRegistry:
     def test_builtin_kinds_registered(self):
         assert {"model", "batch", "synthetic"} <= set(JOB_KINDS)
 
+    def test_kinds_agree_on_each_shared_grid_flag(self):
+        # The CLI builds one argparse option per flag name from its
+        # first declaration, so every kind must parse it the same way.
+        shapes: dict = {}
+        for kind in JOB_KINDS.values():
+            for flag in kind.grid_flags:
+                assert flag.lands in ("axis", "base", "base_or_axis",
+                                      "spec"), (kind.name, flag.flag)
+                shape = (
+                    flag.is_list,
+                    None if flag.is_list else flag.type,
+                    flag.choices,
+                )
+                assert shapes.setdefault(flag.flag, shape) == shape, (
+                    kind.name, flag.flag
+                )
+
     def test_unknown_kind_fails_loudly(self):
         with pytest.raises(ValueError, match="unknown job kind 'quantum'"):
             job_kind("quantum")

@@ -110,6 +110,24 @@ class TestCampaignRunner:
         assert len(store.latest_by_job()) == 4
         assert all(r["campaign"] == "t" for r in records)
 
+    def test_emptied_cache_counts_only_its_own_corrupt_entries(
+        self, tmp_path
+    ):
+        from repro.experiments.faults import corrupt_cache_entry
+
+        cache = ResultCache(tmp_path / "cache")
+        runner = CampaignRunner(cache=cache, workers=1)
+        spec = small_spec(axes={"mesh": ["2x2:1"], "ordering": ["O0"]})
+        runner.run(spec)
+        corrupt_cache_entry(cache, spec.expand()[0])
+        assert runner.run(spec).metrics["cache.corrupt_entries"] == 1
+        cache.clear()
+        # An empty cache is still a cache: the third campaign meets no
+        # corrupt entry and must not inherit the second one's count.
+        third = runner.run(spec)
+        assert third.misses == 1
+        assert third.metrics["cache.corrupt_entries"] == 0
+
     def test_runs_plain_job_lists(self, tmp_path):
         jobs = small_spec().expand()[:2]
         result = CampaignRunner(workers=1).run(jobs)
